@@ -86,7 +86,8 @@ int run(bench::BenchContext& ctx) {
 
   // Cell-level work-unit plan: unit ordinal e * C + c, the row order of
   // the corpus_wcl series, so merged rows land exactly where an unsharded
-  // run emits them.
+  // run emits them. The key carries the core count because the full grid
+  // runs the same notation (P(8,2)) at both 2 and 4 cores.
   std::vector<std::pair<std::string, std::string>> grid_params = {
       {"profile", bench::to_string(ctx.profile)},
       {"corpus", corpus_source},
@@ -98,7 +99,9 @@ int run(bench::BenchContext& ctx) {
                  ctx.sharded() ? ctx.shard_count : 1);
   for (const CorpusSource& source : corpus) {
     for (const SweepConfig& config : configs) {
-      plan.add_unit("corpus_runner", source.name + "|" + config.notation);
+      plan.add_unit("corpus_runner",
+                    source.name + "|" + config.notation + "|" +
+                        std::to_string(config.active_cores));
     }
   }
 

@@ -49,19 +49,6 @@ struct BusMessage {
   }
 };
 
-/// True iff the two messages are observably identical — equal in every field
-/// except `request_id`, which is a tracker bookkeeping handle with no effect
-/// on timing or cache state. The parallel replay engine compares speculative
-/// boundary states with this so differently-numbered but behaviorally equal
-/// in-flight messages do not force a segment re-execution.
-[[nodiscard]] inline bool same_observable(const BusMessage& a,
-                                          const BusMessage& b) {
-  return a.kind == b.kind && a.source == b.source && a.line == b.line &&
-         a.access == b.access && a.carries_dirty_data == b.carries_dirty_data &&
-         a.frees_llc_entry == b.frees_llc_entry &&
-         a.enqueued_at == b.enqueued_at;
-}
-
 }  // namespace psllc::bus
 
 #endif  // PSLLC_BUS_MESSAGE_H_

@@ -86,23 +86,4 @@ BusMessage PendingBuffers::pop_writeback() {
   return pwb_.pop();
 }
 
-bool PendingBuffers::same_state(const PendingBuffers& other) const {
-  if (prefer_writeback_ != other.prefer_writeback_ ||
-      request_.has_value() != other.request_.has_value() ||
-      pwb_.size() != other.pwb_.size()) {
-    return false;
-  }
-  if (request_.has_value() && !same_observable(*request_, *other.request_)) {
-    return false;
-  }
-  // Compare the PWB logically (front to back) so equal contents match even
-  // when the ring-buffer head offsets differ between the two histories.
-  for (int i = 0; i < pwb_.size(); ++i) {
-    if (!same_observable(pwb_.at(i), other.pwb_.at(i))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace psllc::bus

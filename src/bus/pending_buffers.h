@@ -74,13 +74,6 @@ class PendingBuffers {
   /// Dequeues the head write-back after it was placed on the bus.
   BusMessage pop_writeback();
 
-  /// True iff the two buffers hold observably identical state: the same
-  /// arbitration preference, the same PRB occupancy, and PWB entries equal
-  /// element-by-element in queue order. Messages are compared with
-  /// same_observable() (request ids are bookkeeping, not behavior). Used by
-  /// the parallel replay engine's boundary reconciliation.
-  [[nodiscard]] bool same_state(const PendingBuffers& other) const;
-
  private:
   std::optional<BusMessage> request_;
   FixedQueue<BusMessage> pwb_;

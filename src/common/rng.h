@@ -85,10 +85,6 @@ class Rng {
   /// Bernoulli draw with probability p (clamped to [0,1]).
   bool next_bool(double p) { return next_double() < p; }
 
-  /// Two generators are equal iff they will produce the same stream —
-  /// exactly the state identity the parallel-replay reconciliation needs.
-  [[nodiscard]] bool operator==(const Rng&) const = default;
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -25,8 +25,6 @@ class Summary {
   [[nodiscard]] std::int64_t sum() const { return sum_; }
   [[nodiscard]] double mean() const;
 
-  [[nodiscard]] bool operator==(const Summary&) const = default;
-
  private:
   std::int64_t count_ = 0;
   std::int64_t sum_ = 0;

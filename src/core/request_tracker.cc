@@ -1,7 +1,5 @@
 #include "core/request_tracker.h"
 
-#include <algorithm>
-
 #include "common/assert.h"
 
 namespace psllc::core {
@@ -114,69 +112,6 @@ const RequestRecord& RequestTracker::worst_request() const {
 const std::vector<RequestRecord>& RequestTracker::records() const {
   PSLLC_ASSERT(keep_records_, "tracker built without keep_records");
   return records_;
-}
-
-namespace {
-
-/// Field-wise record equality minus `id` (a bookkeeping handle).
-bool same_record(const RequestRecord& a, const RequestRecord& b) {
-  return a.core == b.core && a.line == b.line && a.access == b.access &&
-         a.issued == b.issued && a.first_presented == b.first_presented &&
-         a.completed == b.completed && a.presentations == b.presentations &&
-         a.writebacks_during == b.writebacks_during;
-}
-
-}  // namespace
-
-bool RequestTracker::same_state(const RequestTracker& other) const {
-  if (keep_records_ != other.keep_records_ ||
-      completed_count_ != other.completed_count_ ||
-      inflight_.size() != other.inflight_.size() ||
-      service_ != other.service_ || total_ != other.total_) {
-    return false;
-  }
-  for (std::size_t c = 0; c < inflight_.size(); ++c) {
-    if (inflight_[c].has_value() != other.inflight_[c].has_value()) {
-      return false;
-    }
-    if (inflight_[c] && !same_record(*inflight_[c], *other.inflight_[c])) {
-      return false;
-    }
-  }
-  // Only the worst service latency is observable (RunMetrics::observed_wcl);
-  // which tied record holds it depends on completion order, which the
-  // composed guess cannot (and need not) reproduce.
-  if (worst_.has_value() != other.worst_.has_value()) {
-    return false;
-  }
-  return !worst_ ||
-         worst_->service_latency() == other.worst_->service_latency();
-}
-
-void RequestTracker::absorb_solo(const RequestTracker& other) {
-  PSLLC_ASSERT(inflight_.size() == other.inflight_.size(),
-               "absorb_solo across different core counts");
-  completed_count_ += other.completed_count_;
-  for (std::size_t c = 0; c < inflight_.size(); ++c) {
-    if (other.inflight_[c]) {
-      PSLLC_ASSERT(!inflight_[c],
-                   "absorb_solo: core " << c << " already has an in-flight "
-                                           "request in the composed state");
-      inflight_[c] = other.inflight_[c];
-    }
-    service_[c].merge(other.service_[c]);
-    total_[c].merge(other.total_[c]);
-  }
-  if (other.worst_ &&
-      (!worst_ || other.worst_->service_latency() > worst_->service_latency())) {
-    worst_ = other.worst_;
-  }
-  // Keep future ids above both namespaces.
-  next_id_ = std::max(next_id_, other.next_id_);
-  if (keep_records_) {
-    records_.insert(records_.end(), other.records_.begin(),
-                    other.records_.end());
-  }
 }
 
 }  // namespace psllc::core

@@ -74,24 +74,6 @@ class RequestTracker {
   /// All finished records (requires keep_records).
   [[nodiscard]] const std::vector<RequestRecord>& records() const;
 
-  /// True iff the two trackers are observably identical: same completed
-  /// counts, per-core latency summaries, worst service latency, and the
-  /// same in-flight records field-by-field except `id` (ids are handles and
-  /// never influence timing). `next_id_` and retained records are likewise
-  /// excluded. Parallel-replay boundary reconciliation.
-  [[nodiscard]] bool same_state(const RequestTracker& other) const;
-
-  /// Renumbers future requests to start at `base`. The parallel replay
-  /// engine gives each per-lane solo run a disjoint id namespace so that a
-  /// composed state never holds two in-flight records with the same id.
-  void set_id_base(std::uint64_t base) { next_id_ = base; }
-
-  /// Parallel-replay solo composition: folds a single-lane solo run's
-  /// tracker into this one. Adopts the solo run's in-flight records (their
-  /// cores must be idle here), merges latency summaries, and keeps the
-  /// worse of the two worst-request records.
-  void absorb_solo(const RequestTracker& other);
-
  private:
   RequestRecord& inflight_mut(std::uint64_t id);
 

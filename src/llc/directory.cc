@@ -54,13 +54,4 @@ int InclusiveDirectory::sharer_count(LineAddr line) const {
 
 void InclusiveDirectory::clear_line(LineAddr line) { map_.erase(line); }
 
-void InclusiveDirectory::absorb(const InclusiveDirectory& other) {
-  for (const auto& [line, sharers] : other.map_) {
-    PSLLC_ASSERT(map_.find(line) == map_.end(),
-                 "absorb: line 0x" << std::hex << line
-                                   << " tracked by both directories");
-    map_.emplace(line, sharers);
-  }
-}
-
 }  // namespace psllc::llc

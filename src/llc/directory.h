@@ -41,17 +41,6 @@ class InclusiveDirectory {
     return static_cast<int>(map_.size());
   }
 
-  /// Content equality: same lines with the same sharers in the same arrival
-  /// order. unordered_map equality is bucket-order independent, and sharer
-  /// vectors are deterministic under replay. Parallel-replay reconciliation.
-  [[nodiscard]] bool operator==(const InclusiveDirectory& other) const =
-      default;
-
-  /// Parallel-replay solo composition: merges a per-lane solo run's
-  /// directory. Line sets must be disjoint (the caller gates composition on
-  /// data-disjoint workloads).
-  void absorb(const InclusiveDirectory& other);
-
  private:
   // Small-vector semantics: nearly all lines have 0 or 1 sharer.
   std::unordered_map<LineAddr, std::vector<CoreId>> map_;

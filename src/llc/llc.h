@@ -120,23 +120,6 @@ struct LlcStats {
   std::int64_t drain_back_invals = 0;   ///< back-invalidations issued by drains
 
   [[nodiscard]] bool operator==(const LlcStats&) const = default;
-
-  /// Field-wise sum — parallel-replay solo composition folds per-lane stats.
-  LlcStats& operator+=(const LlcStats& other) {
-    hit_presentations += other.hit_presentations;
-    blocked_presentations += other.blocked_presentations;
-    fills += other.fills;
-    evictions_started += other.evictions_started;
-    immediate_frees += other.immediate_frees;
-    voluntary_writebacks += other.voluntary_writebacks;
-    freeing_writebacks += other.freeing_writebacks;
-    steals += other.steals;
-    shared_write_flags += other.shared_write_flags;
-    repartitions += other.repartitions;
-    drain_writebacks += other.drain_writebacks;
-    drain_back_invals += other.drain_back_invals;
-    return *this;
-  }
 };
 
 template <typename Memory = mem::MemoryBackend>
@@ -256,34 +239,12 @@ class BasicPartitionedLlc {
   // --- statistics --------------------------------------------------------
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  // --- parallel replay support -------------------------------------------
-
-  /// Repoints the DRAM backend after this LLC was copied into or restored
-  /// from a snapshot (the snapshot carries its own backend by value; the
-  /// embedded pointer goes stale the moment the snapshot outlives the
-  /// original kernel).
-  void rebind_memory(Memory& memory) { memory_ = &memory; }
-
-  /// True iff the two LLCs are observably identical: same active mode, tag
-  /// arrays + replacement state, entry/pending/transition bookkeeping,
-  /// directory, sequencer ordering (canonical form), and statistics.
-  /// `memory_` is excluded — the backend is snapshotted separately.
-  [[nodiscard]] bool same_state(const BasicPartitionedLlc& other) const;
-
-  /// Parallel-replay solo composition: grafts `core`'s partition state from
-  /// a single-lane solo run into this fresh LLC. Sound only when partitions
-  /// are set-disjoint single-sharer and the program is static — the caller
-  /// (sim/parallel_replay.cc) gates on exactly that.
-  void adopt_solo_lane(const BasicPartitionedLlc& solo, CoreId core);
-
  private:
   struct Pending {
     LineAddr line = 0;
     int partition = -1;
     int physical_set = -1;
     Cycle first_presented = kNoCycle;
-
-    [[nodiscard]] bool operator==(const Pending&) const = default;
   };
 
   struct EntryState {
@@ -295,8 +256,6 @@ class BasicPartitionedLlc {
     /// This drain's back-invalidation has been issued (drain bookkeeping
     /// owns the per-core serialization counters).
     bool drain_issued = false;
-
-    [[nodiscard]] bool operator==(const EntryState&) const = default;
   };
 
   [[nodiscard]] int partition_of_checked(CoreId core) const;

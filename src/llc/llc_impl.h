@@ -825,58 +825,6 @@ void BasicPartitionedLlc<Memory>::check_invariants() const {
   }
 }
 
-// --- parallel replay support --------------------------------------------
-
-template <typename Memory>
-bool BasicPartitionedLlc<Memory>::same_state(
-    const BasicPartitionedLlc& other) const {
-  if (mode_index_ != other.mode_index_ || sets_.size() != other.sets_.size()) {
-    return false;
-  }
-  for (std::size_t s = 0; s < sets_.size(); ++s) {
-    if (!sets_[s].same_state(other.sets_[s])) {
-      return false;
-    }
-  }
-  return entry_states_ == other.entry_states_ &&
-         directory_ == other.directory_ &&
-         sequencer_.same_state(other.sequencer_) &&
-         pending_ == other.pending_ &&
-         transition_active_ == other.transition_active_ &&
-         frozen_ == other.frozen_ && drain_queue_ == other.drain_queue_ &&
-         draining_lines_ == other.draining_lines_ &&
-         drain_remaining_ == other.drain_remaining_ &&
-         core_drain_busy_ == other.core_drain_busy_ &&
-         transition_windows_ == other.transition_windows_ &&
-         stats_ == other.stats_;
-}
-
-template <typename Memory>
-void BasicPartitionedLlc<Memory>::adopt_solo_lane(
-    const BasicPartitionedLlc& solo, CoreId core) {
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
-  // Composition is gated on set-disjoint partitions, so the whole set rows
-  // of `core`'s partition belong to this lane alone.
-  for (int s = spec.first_set; s < spec.first_set + spec.num_sets; ++s) {
-    sets_[static_cast<std::size_t>(s)] =
-        solo.sets_[static_cast<std::size_t>(s)];
-    entry_states_[static_cast<std::size_t>(s)] =
-        solo.entry_states_[static_cast<std::size_t>(s)];
-  }
-  pending_[static_cast<std::size_t>(core.value)] =
-      solo.pending_[static_cast<std::size_t>(core.value)];
-  directory_.absorb(solo.directory_);
-  // Re-enqueue through the canonical form: physical QLT/queue slots are
-  // allocation-history artifacts the composed state need not reproduce.
-  for (const auto& [key, cores] : solo.sequencer_.canonical()) {
-    for (const CoreId c : cores) {
-      sequencer_.enqueue(key, c);
-    }
-  }
-  stats_ += solo.stats_;
-}
-
 }  // namespace psllc::llc
 
 #endif  // PSLLC_LLC_LLC_IMPL_H_

@@ -1,8 +1,5 @@
 #include "llc/set_sequencer.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "common/assert.h"
 
 namespace psllc::llc {
@@ -147,26 +144,6 @@ int SetSequencer::active_queues() const {
     count += entry.valid ? 1 : 0;
   }
   return count;
-}
-
-std::vector<std::pair<SetKey, std::vector<CoreId>>> SetSequencer::canonical()
-    const {
-  std::vector<std::pair<SetKey, std::vector<CoreId>>> out;
-  for (const auto& entry : qlt_) {
-    if (!entry.valid) {
-      continue;
-    }
-    const auto& queue = queues_[static_cast<std::size_t>(entry.queue_index)];
-    std::vector<CoreId> cores;
-    cores.reserve(static_cast<std::size_t>(queue.size()));
-    for (int i = 0; i < queue.size(); ++i) {
-      cores.push_back(queue.at(i));
-    }
-    out.emplace_back(entry.key, std::move(cores));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
 }
 
 }  // namespace psllc::llc

@@ -20,7 +20,6 @@
 #define PSLLC_LLC_SET_SEQUENCER_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/fixed_queue.h"
@@ -84,19 +83,6 @@ class SetSequencer {
 
   [[nodiscard]] int num_queues() const {
     return static_cast<int>(queues_.size());
-  }
-
-  /// Canonical view of the ordering state: every live queue as (key, cores
-  /// head-to-tail), sorted by key. Which physical QLT slot or SQ queue a set
-  /// occupies depends on allocation history, not behavior, so equality and
-  /// composition go through this form.
-  [[nodiscard]] std::vector<std::pair<SetKey, std::vector<CoreId>>> canonical()
-      const;
-
-  /// True iff both sequencers impose the same ordering on the same sets
-  /// (canonical forms equal). Parallel-replay boundary reconciliation.
-  [[nodiscard]] bool same_state(const SetSequencer& other) const {
-    return canonical() == other.canonical();
   }
 
  private:

@@ -121,10 +121,6 @@ int CacheSet::select_victim_any() {
   return select_victim(eligible);
 }
 
-bool CacheSet::same_state(const CacheSet& other) const {
-  return lines_ == other.lines_ && policy_->same_state(*other.policy_);
-}
-
 void CacheSet::check_way(int w) const {
   PSLLC_ASSERT(w >= 0 && w < ways(),
                "way " << w << " out of range [0," << ways() << ")");

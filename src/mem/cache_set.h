@@ -53,10 +53,6 @@ class CacheSet {
   /// Convenience: victim among all valid ways.
   [[nodiscard]] int select_victim_any();
 
-  /// True iff line metadata and replacement state match exactly (parallel
-  /// replay boundary reconciliation).
-  [[nodiscard]] bool same_state(const CacheSet& other) const;
-
  private:
   void check_way(int w) const;
 

@@ -34,8 +34,6 @@ struct LineMeta {
 
   [[nodiscard]] bool valid() const { return state != LineState::kInvalid; }
   [[nodiscard]] bool dirty() const { return state == LineState::kDirty; }
-
-  [[nodiscard]] constexpr bool operator==(const LineMeta&) const = default;
 };
 
 /// Shape of a set-associative cache.

@@ -100,34 +100,6 @@ class MemoryBackend {
   /// downcast to the concrete backend.
   [[nodiscard]] virtual int pending_queue_depth() const { return 0; }
 
-  /// True iff `other` is behaviorally indistinguishable from this backend:
-  /// same counters, same access clock, and the same model-specific dynamic
-  /// state (open rows, queued writes). Used by the parallel replay engine
-  /// to detect speculative-state mismatches at segment boundaries.
-  [[nodiscard]] bool same_state(const MemoryBackend& other) const {
-    return counters_ == other.counters_ &&
-           last_access_ == other.last_access_ && same_dynamic_state(other);
-  }
-
-  /// Parallel-replay solo composition: folds the counters of a per-lane
-  /// solo run into this backend. Sound only for backends whose service
-  /// latency is state-independent (fixed latency) — the caller gates on
-  /// the backend kind.
-  void absorb_solo_counters(const MemoryBackend& other) {
-    counters_.reads += other.counters_.reads;
-    counters_.writes += other.counters_.writes;
-    counters_.row_hits += other.counters_.row_hits;
-    counters_.row_misses += other.counters_.row_misses;
-    counters_.queued_writes += other.counters_.queued_writes;
-    counters_.drained_writes += other.counters_.drained_writes;
-    counters_.write_stalls += other.counters_.write_stalls;
-    counters_.max_queue_depth =
-        std::max(counters_.max_queue_depth, other.counters_.max_queue_depth);
-    counters_.max_latency =
-        std::max(counters_.max_latency, other.counters_.max_latency);
-    last_access_ = std::max(last_access_, other.last_access_);
-  }
-
  protected:
   explicit MemoryBackend(const DramConfig& config) : config_(config) {
     config_.validate();
@@ -138,13 +110,6 @@ class MemoryBackend {
 
   virtual Cycle service_read(LineAddr line, Cycle now) = 0;
   virtual Cycle service_write(LineAddr line, Cycle now) = 0;
-
-  /// Model-specific dynamic state comparison behind same_state(). Stateless
-  /// backends (fixed latency) have nothing beyond the base counters.
-  [[nodiscard]] virtual bool same_dynamic_state(
-      const MemoryBackend& /*other*/) const {
-    return true;
-  }
 
   DramConfig config_;
   MemoryCounters counters_;
@@ -245,12 +210,6 @@ class BankRowBackend final : public MemoryBackend {
     return service(line);
   }
 
-  [[nodiscard]] bool same_dynamic_state(
-      const MemoryBackend& other) const override {
-    const auto* o = dynamic_cast<const BankRowBackend*>(&other);
-    return o != nullptr && open_row_ == o->open_row_;
-  }
-
  private:
   Cycle service(LineAddr line) {
     if (config_.page_policy == PagePolicy::kClosedPage) {
@@ -307,12 +266,6 @@ class WriteQueueBackend final : public MemoryBackend {
   }
 
  protected:
-  [[nodiscard]] bool same_dynamic_state(
-      const MemoryBackend& other) const override {
-    const auto* o = dynamic_cast<const WriteQueueBackend*>(&other);
-    return o != nullptr && queue_ == o->queue_;
-  }
-
   Cycle service_read(LineAddr /*line*/, Cycle now) override {
     drain(now);
     // Reads bypass the queue (the controller prioritizes them; a buffered

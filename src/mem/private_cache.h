@@ -95,14 +95,6 @@ class PrivateCacheHierarchy {
   [[nodiscard]] const SetAssocCache& l1d() const { return l1d_; }
   [[nodiscard]] const SetAssocCache& l2() const { return l2_; }
 
-  /// True iff all three levels and the hit/miss counters match (parallel
-  /// replay boundary reconciliation).
-  [[nodiscard]] bool same_state(const PrivateCacheHierarchy& other) const {
-    return l1_hits_ == other.l1_hits_ && l2_hits_ == other.l2_hits_ &&
-           misses_ == other.misses_ && l1i_.same_state(other.l1i_) &&
-           l1d_.same_state(other.l1d_) && l2_.same_state(other.l2_);
-  }
-
   // --- statistics ---
   [[nodiscard]] std::int64_t l1_hits() const { return l1_hits_; }
   [[nodiscard]] std::int64_t l2_hits() const { return l2_hits_; }

@@ -42,11 +42,6 @@ class LruPolicy final : public ReplacementPolicy {
     return std::make_unique<LruPolicy>(*this);
   }
 
-  bool same_state(const ReplacementPolicy& other) const override {
-    const auto* o = dynamic_cast<const LruPolicy*>(&other);
-    return o != nullptr && stack_ == o->stack_;
-  }
-
  private:
   void touch(int way) {
     auto it = std::find(stack_.begin(), stack_.end(), way);
@@ -95,11 +90,6 @@ class FifoPolicy final : public ReplacementPolicy {
     return std::make_unique<FifoPolicy>(*this);
   }
 
-  bool same_state(const ReplacementPolicy& other) const override {
-    const auto* o = dynamic_cast<const FifoPolicy*>(&other);
-    return o != nullptr && order_ == o->order_;
-  }
-
  private:
   std::vector<int> order_;  // front = oldest
 };
@@ -135,11 +125,6 @@ class RandomPolicy final : public ReplacementPolicy {
 
   std::unique_ptr<ReplacementPolicy> clone() const override {
     return std::make_unique<RandomPolicy>(*this);
-  }
-
-  bool same_state(const ReplacementPolicy& other) const override {
-    const auto* o = dynamic_cast<const RandomPolicy*>(&other);
-    return o != nullptr && rng_ == o->rng_;
   }
 
  private:
@@ -198,11 +183,6 @@ class NmruPolicy final : public ReplacementPolicy {
     return std::make_unique<NmruPolicy>(*this);
   }
 
-  bool same_state(const ReplacementPolicy& other) const override {
-    const auto* o = dynamic_cast<const NmruPolicy*>(&other);
-    return o != nullptr && mru_ == o->mru_ && rng_ == o->rng_;
-  }
-
  private:
   Rng rng_;
   int mru_ = -1;
@@ -246,11 +226,6 @@ class TreePlruPolicy final : public ReplacementPolicy {
 
   std::unique_ptr<ReplacementPolicy> clone() const override {
     return std::make_unique<TreePlruPolicy>(*this);
-  }
-
-  bool same_state(const ReplacementPolicy& other) const override {
-    const auto* o = dynamic_cast<const TreePlruPolicy*>(&other);
-    return o != nullptr && bits_ == o->bits_;
   }
 
  private:

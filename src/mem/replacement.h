@@ -37,13 +37,6 @@ class ReplacementPolicy {
   /// Deep copy (sets own independent policy state).
   [[nodiscard]] virtual std::unique_ptr<ReplacementPolicy> clone() const = 0;
 
-  /// True iff `other` is the same policy kind in the same state, i.e. both
-  /// will make identical victim choices forever. Used by the parallel
-  /// replay engine to detect speculative-state mismatches at segment
-  /// boundaries; not a hot path.
-  [[nodiscard]] virtual bool same_state(
-      const ReplacementPolicy& other) const = 0;
-
   [[nodiscard]] int ways() const { return ways_; }
 
  protected:

@@ -56,21 +56,6 @@ class SetAssocCache {
   /// Direct set access for white-box tests.
   [[nodiscard]] const CacheSet& set_at(int index) const;
 
-  /// True iff every set's lines + replacement state and the hit/miss
-  /// counters match (parallel replay boundary reconciliation).
-  [[nodiscard]] bool same_state(const SetAssocCache& other) const {
-    if (hits_ != other.hits_ || misses_ != other.misses_ ||
-        sets_.size() != other.sets_.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < sets_.size(); ++i) {
-      if (!sets_[i].same_state(other.sets_[i])) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   // --- statistics ---
   [[nodiscard]] std::int64_t hits() const { return hits_; }
   [[nodiscard]] std::int64_t misses() const { return misses_; }

@@ -1,15 +1,12 @@
 #include "sim/replay.h"
 
-#include <cstdlib>
 #include <limits>
-#include <string>
 #include <utility>
 
 #include "common/assert.h"
 #include "common/log.h"
 #include "core/system.h"
 #include "sim/kernel.h"
-#include "sim/parallel_replay.h"
 
 namespace psllc::sim {
 
@@ -80,10 +77,9 @@ RunMetrics run_legacy(const ReplayRequest& request) {
 }  // namespace
 
 bool kernel_eligible(const ReplayRequest& request) {
-  return request.engine != ReplayEngine::kLegacy && parallel_eligible(request);
-}
-
-bool parallel_eligible(const ReplayRequest& request) {
+  if (request.engine == ReplayEngine::kLegacy) {
+    return false;
+  }
   if (request.setup == nullptr) {
     return false;
   }
@@ -101,36 +97,8 @@ bool parallel_eligible(const ReplayRequest& request) {
   return true;
 }
 
-int effective_cell_threads(const RunOptions& options) {
-  if (options.cell_threads >= 1) {
-    return options.cell_threads;
-  }
-  static const int env_threads = [] {
-    const char* raw = std::getenv("PSLLC_CELL_THREADS");
-    if (raw == nullptr || *raw == '\0') {
-      return 1;
-    }
-    char* end = nullptr;
-    const long value = std::strtol(raw, &end, 10);
-    PSLLC_CONFIG_CHECK(end != raw && *end == '\0' && value >= 1 &&
-                           value <= 1024,
-                       "PSLLC_CELL_THREADS must be an integer in [1, 1024], "
-                       "got \""
-                           << raw << "\"");
-    return static_cast<int>(value);
-  }();
-  return env_threads;
-}
-
 ReplayResult replay(const ReplayRequest& request) {
   validate_request(request);
-  if (request.engine == ReplayEngine::kParallel) {
-    PSLLC_CONFIG_CHECK(parallel_eligible(request),
-                       "replay engine forced to parallel, but the request is "
-                       "not parallel-eligible");
-    return {run_parallel(request, effective_cell_threads(request.options)),
-            true};
-  }
   if (request.engine == ReplayEngine::kKernel) {
     PSLLC_CONFIG_CHECK(kernel_eligible(request),
                        "replay engine forced to kernel, but the request is "
@@ -138,10 +106,6 @@ ReplayResult replay(const ReplayRequest& request) {
     return {run_kernel(request), true};
   }
   if (kernel_eligible(request)) {
-    const int threads = effective_cell_threads(request.options);
-    if (threads > 1) {
-      return {run_parallel(request, threads), true};
-    }
     return {run_kernel(request), true};
   }
   return {run_legacy(request), false};

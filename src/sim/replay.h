@@ -21,11 +21,9 @@ namespace psllc::sim {
 
 /// Which engine replays the cell.
 enum class ReplayEngine : std::uint8_t {
-  kAuto,    ///< kernel (parallel when cell_threads > 1) when eligible,
-            ///< legacy otherwise (the default)
-  kKernel,  ///< force the serial kernel (throws if not eligible)
+  kAuto,    ///< kernel when eligible, legacy otherwise (the default)
+  kKernel,  ///< force the kernel (throws if the request is not eligible)
   kLegacy,  ///< force the legacy core::System slot loop
-  kParallel,  ///< force the parallel engine (throws if not eligible)
 };
 
 [[nodiscard]] constexpr const char* to_string(ReplayEngine e) {
@@ -33,7 +31,6 @@ enum class ReplayEngine : std::uint8_t {
     case ReplayEngine::kAuto: return "auto";
     case ReplayEngine::kKernel: return "kernel";
     case ReplayEngine::kLegacy: return "legacy";
-    case ReplayEngine::kParallel: return "parallel";
   }
   return "?";
 }
@@ -73,17 +70,6 @@ struct ReplayResult {
 /// logging (the kernel skips idle slots, so it cannot reproduce the legacy
 /// per-slot log stream).
 [[nodiscard]] bool kernel_eligible(const ReplayRequest& request);
-
-/// True when `request` can take the parallel engine: the same observability
-/// restrictions as kernel_eligible (the parallel engine IS the kernel, run
-/// per segment), independent of the requested engine.
-[[nodiscard]] bool parallel_eligible(const ReplayRequest& request);
-
-/// Worker-thread count the parallel engine would use for `options`:
-/// options.cell_threads when >= 1, otherwise the PSLLC_CELL_THREADS
-/// environment variable (read once per process, default 1). Throws
-/// ConfigError on a malformed or non-positive environment value.
-[[nodiscard]] int effective_cell_threads(const RunOptions& options);
 
 /// Replays the cell. Engine choice per `request.engine`; the returned
 /// metrics are bit-identical between engines by contract (enforced by the

@@ -37,24 +37,15 @@ struct RunMetrics {
   mem::MemoryCounters memory;
   std::int64_t dram_reads = 0;   ///< == memory.reads
   std::int64_t dram_writes = 0;  ///< == memory.writes
-  // --- parallel replay diagnostics (0 for the serial engines) ---
-  /// Horizon segments the parallel engine split the run into.
-  std::int64_t parallel_segments = 0;
-  /// Segment re-executions the reconciliation sweep needed beyond the first
-  /// pass (0 when every speculative boundary guess was exact).
-  std::int64_t parallel_reexecutions = 0;
+
+  /// Field-wise equality: the engines' bit-identity contract.
+  [[nodiscard]] bool operator==(const RunMetrics&) const = default;
 };
 
 struct RunOptions {
   /// Safety horizon; a run that does not finish within it reports
   /// completed == false (used deliberately by the unbounded scenario).
   Cycle max_cycles = 2'000'000'000;
-  /// Worker threads for the parallel replay engine. 0 (the default) defers
-  /// to the PSLLC_CELL_THREADS environment variable (itself defaulting to
-  /// 1); >= 1 is an explicit count. 1 replays serially. Only consulted when
-  /// the engine is kAuto or kParallel — kKernel/kLegacy always run serial,
-  /// so forced-engine timings stay comparable.
-  int cell_threads = 0;
 };
 
 /// Runs `traces` (one per core, padded with empty traces) built from

@@ -41,7 +41,7 @@ struct ShardSpec {
 };
 
 /// One schedulable cell of the grid. `cell` is the human-readable cell key
-/// within the bench ("chase_hot|SS(32,2,2)"); empty for whole-bench units
+/// within the bench ("chase_hot|SS(32,2,2)|2"); empty for whole-bench units
 /// (run_all shards at bench granularity).
 struct WorkUnit {
   std::string id;     ///< content_id over grid name, params, bench, cell

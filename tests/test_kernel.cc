@@ -24,68 +24,6 @@
 namespace psllc::sim {
 namespace {
 
-void expect_metrics_equal(const RunMetrics& kernel, const RunMetrics& legacy,
-                          const std::string& label) {
-  EXPECT_EQ(kernel.completed, legacy.completed) << label;
-  EXPECT_EQ(kernel.end_cycle, legacy.end_cycle) << label;
-  EXPECT_EQ(kernel.makespan, legacy.makespan) << label;
-  EXPECT_EQ(kernel.observed_wcl, legacy.observed_wcl) << label;
-  EXPECT_EQ(kernel.analytical_wcl, legacy.analytical_wcl) << label;
-  EXPECT_EQ(kernel.observed_transient_wcl, legacy.observed_transient_wcl)
-      << label;
-  EXPECT_EQ(kernel.transient_analytical_wcl, legacy.transient_analytical_wcl)
-      << label;
-  EXPECT_EQ(kernel.llc_requests, legacy.llc_requests) << label;
-  EXPECT_EQ(kernel.per_core_finish, legacy.per_core_finish) << label;
-  EXPECT_EQ(kernel.per_core_l1_hits, legacy.per_core_l1_hits) << label;
-  EXPECT_EQ(kernel.per_core_l2_hits, legacy.per_core_l2_hits) << label;
-  EXPECT_EQ(kernel.per_core_misses, legacy.per_core_misses) << label;
-  EXPECT_EQ(kernel.llc_stats.hit_presentations,
-            legacy.llc_stats.hit_presentations)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.blocked_presentations,
-            legacy.llc_stats.blocked_presentations)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.fills, legacy.llc_stats.fills) << label;
-  EXPECT_EQ(kernel.llc_stats.evictions_started,
-            legacy.llc_stats.evictions_started)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.immediate_frees, legacy.llc_stats.immediate_frees)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.voluntary_writebacks,
-            legacy.llc_stats.voluntary_writebacks)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.freeing_writebacks,
-            legacy.llc_stats.freeing_writebacks)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.steals, legacy.llc_stats.steals) << label;
-  EXPECT_EQ(kernel.llc_stats.shared_write_flags,
-            legacy.llc_stats.shared_write_flags)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.repartitions, legacy.llc_stats.repartitions)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.drain_writebacks,
-            legacy.llc_stats.drain_writebacks)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.drain_back_invals,
-            legacy.llc_stats.drain_back_invals)
-      << label;
-  EXPECT_EQ(kernel.memory.reads, legacy.memory.reads) << label;
-  EXPECT_EQ(kernel.memory.writes, legacy.memory.writes) << label;
-  EXPECT_EQ(kernel.memory.row_hits, legacy.memory.row_hits) << label;
-  EXPECT_EQ(kernel.memory.row_misses, legacy.memory.row_misses) << label;
-  EXPECT_EQ(kernel.memory.queued_writes, legacy.memory.queued_writes)
-      << label;
-  EXPECT_EQ(kernel.memory.drained_writes, legacy.memory.drained_writes)
-      << label;
-  EXPECT_EQ(kernel.memory.write_stalls, legacy.memory.write_stalls) << label;
-  EXPECT_EQ(kernel.memory.max_queue_depth, legacy.memory.max_queue_depth)
-      << label;
-  EXPECT_EQ(kernel.memory.max_latency, legacy.memory.max_latency) << label;
-  EXPECT_EQ(kernel.dram_reads, legacy.dram_reads) << label;
-  EXPECT_EQ(kernel.dram_writes, legacy.dram_writes) << label;
-}
-
 /// Runs `request` once per engine (forced) and checks the engines really
 /// were taken; returns {kernel, legacy} metrics.
 std::pair<RunMetrics, RunMetrics> run_both(ReplayRequest request,
@@ -143,7 +81,7 @@ TEST(KernelDifferential, MatchesLegacyAcrossBackendsNotationsAndShapes) {
       const std::string label =
           variant.label + " " + notation + " " + shape.name;
       const auto [kernel, legacy] = run_both(request, label);
-      expect_metrics_equal(kernel, legacy, label);
+      EXPECT_TRUE(kernel == legacy) << label;
       EXPECT_TRUE(legacy.completed) << label;
     }
   }
@@ -165,7 +103,7 @@ TEST(KernelDifferential, MatchesLegacyOnTruncatedHorizon) {
   request.options.max_cycles = 20000;
   const auto [kernel, legacy] = run_both(request, "truncated");
   EXPECT_FALSE(legacy.completed);
-  expect_metrics_equal(kernel, legacy, "truncated");
+  EXPECT_TRUE(kernel == legacy) << "truncated";
 }
 
 // Fewer traces than cores (idle cores) and the empty-trace edge.
@@ -181,7 +119,7 @@ TEST(KernelDifferential, MatchesLegacyWithIdleCores) {
   request.setup = &setup;
   request.workload.per_core = &traces;
   const auto [kernel, legacy] = run_both(request, "idle cores");
-  expect_metrics_equal(kernel, legacy, "idle cores");
+  EXPECT_TRUE(kernel == legacy) << "idle cores";
 }
 
 // Shared-trace replay, solo and mirrored into per-core windows — the
@@ -201,7 +139,7 @@ TEST(KernelDifferential, MatchesLegacyOnSharedWorkloads) {
     request.workload.window = replicas > 1 ? Addr{1} << 20 : 0;
     const std::string label = "shared x" + std::to_string(replicas);
     const auto [kernel, legacy] = run_both(request, label);
-    expect_metrics_equal(kernel, legacy, label);
+    EXPECT_TRUE(kernel == legacy) << label;
   }
 }
 
@@ -225,14 +163,14 @@ TEST(KernelDifferential, MatchesLegacyOnMappedView) {
   request.workload.replicas = 4;
   request.workload.window = Addr{1} << 20;
   const auto [kernel, legacy] = run_both(request, "mapped view");
-  expect_metrics_equal(kernel, legacy, "mapped view");
+  EXPECT_TRUE(kernel == legacy) << "mapped view";
 
   ReplayRequest materialized = request;
   materialized.workload.shared_view = nullptr;
   materialized.workload.shared = &trace;
   materialized.engine = ReplayEngine::kKernel;
-  expect_metrics_equal(replay(materialized).metrics, legacy,
-                       "view vs materialized");
+  EXPECT_TRUE(replay(materialized).metrics == legacy)
+      << "view vs materialized";
   std::filesystem::remove(path);
 }
 
@@ -272,8 +210,8 @@ TEST(KernelEligibility, AutoFallsBackAndStillMatches) {
     EXPECT_FALSE(result.used_kernel);
     ReplayRequest forced = request;
     forced.engine = ReplayEngine::kLegacy;
-    expect_metrics_equal(result.metrics, replay(forced).metrics,
-                         "keep_request_records fallback");
+    EXPECT_TRUE(result.metrics == replay(forced).metrics)
+        << "keep_request_records fallback";
   }
 
   // Debug logging: the kernel skips idle slots, so it cannot reproduce the
@@ -335,8 +273,7 @@ TEST(KernelDifferential, SweepDeterministicAcrossThreadCounts) {
   const SweepResult b = run_sweep(configs, parallel);
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    expect_metrics_equal(a.cells[i].metrics, b.cells[i].metrics,
-                         "cell " + std::to_string(i));
+    EXPECT_TRUE(a.cells[i].metrics == b.cells[i].metrics) << "cell " << i;
   }
 }
 

@@ -33,66 +33,6 @@ core::ExperimentSetup make_dynamic_setup(const char* notation, int cores,
   return setup;
 }
 
-void expect_metrics_equal(const RunMetrics& kernel, const RunMetrics& legacy,
-                          const std::string& label) {
-  EXPECT_EQ(kernel.completed, legacy.completed) << label;
-  EXPECT_EQ(kernel.end_cycle, legacy.end_cycle) << label;
-  EXPECT_EQ(kernel.makespan, legacy.makespan) << label;
-  EXPECT_EQ(kernel.observed_wcl, legacy.observed_wcl) << label;
-  EXPECT_EQ(kernel.analytical_wcl, legacy.analytical_wcl) << label;
-  EXPECT_EQ(kernel.observed_transient_wcl, legacy.observed_transient_wcl)
-      << label;
-  EXPECT_EQ(kernel.transient_analytical_wcl, legacy.transient_analytical_wcl)
-      << label;
-  EXPECT_EQ(kernel.llc_requests, legacy.llc_requests) << label;
-  EXPECT_EQ(kernel.per_core_finish, legacy.per_core_finish) << label;
-  EXPECT_EQ(kernel.per_core_l1_hits, legacy.per_core_l1_hits) << label;
-  EXPECT_EQ(kernel.per_core_l2_hits, legacy.per_core_l2_hits) << label;
-  EXPECT_EQ(kernel.per_core_misses, legacy.per_core_misses) << label;
-  EXPECT_EQ(kernel.llc_stats.hit_presentations,
-            legacy.llc_stats.hit_presentations)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.blocked_presentations,
-            legacy.llc_stats.blocked_presentations)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.fills, legacy.llc_stats.fills) << label;
-  EXPECT_EQ(kernel.llc_stats.evictions_started,
-            legacy.llc_stats.evictions_started)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.immediate_frees,
-            legacy.llc_stats.immediate_frees)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.voluntary_writebacks,
-            legacy.llc_stats.voluntary_writebacks)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.freeing_writebacks,
-            legacy.llc_stats.freeing_writebacks)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.steals, legacy.llc_stats.steals) << label;
-  EXPECT_EQ(kernel.llc_stats.repartitions, legacy.llc_stats.repartitions)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.drain_writebacks,
-            legacy.llc_stats.drain_writebacks)
-      << label;
-  EXPECT_EQ(kernel.llc_stats.drain_back_invals,
-            legacy.llc_stats.drain_back_invals)
-      << label;
-  EXPECT_EQ(kernel.memory.reads, legacy.memory.reads) << label;
-  EXPECT_EQ(kernel.memory.writes, legacy.memory.writes) << label;
-  EXPECT_EQ(kernel.memory.row_hits, legacy.memory.row_hits) << label;
-  EXPECT_EQ(kernel.memory.row_misses, legacy.memory.row_misses) << label;
-  EXPECT_EQ(kernel.memory.queued_writes, legacy.memory.queued_writes)
-      << label;
-  EXPECT_EQ(kernel.memory.drained_writes, legacy.memory.drained_writes)
-      << label;
-  EXPECT_EQ(kernel.memory.write_stalls, legacy.memory.write_stalls) << label;
-  EXPECT_EQ(kernel.memory.max_queue_depth, legacy.memory.max_queue_depth)
-      << label;
-  EXPECT_EQ(kernel.memory.max_latency, legacy.memory.max_latency) << label;
-  EXPECT_EQ(kernel.dram_reads, legacy.dram_reads) << label;
-  EXPECT_EQ(kernel.dram_writes, legacy.dram_writes) << label;
-}
-
 std::pair<RunMetrics, RunMetrics> run_both(
     const core::ExperimentSetup& setup,
     const std::vector<core::Trace>& traces, const std::string& label,
@@ -134,7 +74,7 @@ TEST(RepartitionDifferential, MatchesAcrossBackendsNotationsAndCadences) {
         const std::string label = variant.label + " " + notation + " cad" +
                                   std::to_string(cadence);
         const auto [kernel, legacy] = run_both(setup, traces, label);
-        expect_metrics_equal(kernel, legacy, label);
+        EXPECT_TRUE(kernel == legacy) << label;
         EXPECT_TRUE(legacy.completed) << label;
         EXPECT_GE(legacy.llc_stats.repartitions, 1) << label;
       }
@@ -156,7 +96,7 @@ TEST(RepartitionDifferential, MatchesOnHorizonTruncatedMidDrain) {
   const auto [kernel, legacy] =
       run_both(setup, traces, "mid-drain", /*max_cycles=*/450);
   EXPECT_FALSE(legacy.completed);
-  expect_metrics_equal(kernel, legacy, "mid-drain");
+  EXPECT_TRUE(kernel == legacy) << "mid-drain";
 }
 
 // A no-op transition (identical maps) must not drain anything.
@@ -167,7 +107,7 @@ TEST(RepartitionDifferential, NoOpTransitionDrainsNothing) {
   workload.accesses = 800;
   const auto traces = make_disjoint_random_workload(2, workload, 5);
   const auto [kernel, legacy] = run_both(setup, traces, "noop");
-  expect_metrics_equal(kernel, legacy, "noop");
+  EXPECT_TRUE(kernel == legacy) << "noop";
   EXPECT_EQ(legacy.llc_stats.drain_writebacks, 0);
   EXPECT_EQ(legacy.llc_stats.drain_back_invals, 0);
 }

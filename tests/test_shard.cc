@@ -105,7 +105,9 @@ ShardPlan corpus_plan(int shard_count) {
                  shard_count);
   for (const CorpusSource& source : demo_corpus_sources(kCorpusAccesses)) {
     for (const SweepConfig& config : corpus_configs()) {
-      plan.add_unit("corpus_runner", source.name + "|" + config.notation);
+      plan.add_unit("corpus_runner",
+                    source.name + "|" + config.notation + "|" +
+                        std::to_string(config.active_cores));
     }
   }
   return plan;

@@ -240,110 +240,6 @@ TEST(TransientWclBound, ObservedTransientWithinBound) {
   }
 }
 
-// --- parallel replay invariance -------------------------------------------
-
-// The paper's observables are properties of the simulated platform, not of
-// the engine that replays it: observed WCL, transient WCL, and every
-// counter in RunMetrics (except the parallel_* diagnostics) must be
-// invariant under the cell_threads knob — on a static heavy-conflict cell
-// and on a live two-transition repartitioning cell — and the engine's own
-// reconciliation schedule must be deterministic for a fixed request.
-TEST(ParallelInvariance, MetricsInvariantUnderCellThreads) {
-  ExperimentSetup dynamic = make_paper_setup("SS(32,2,2)", 2);
-  llc::PartitionProgram program(dynamic.partitions());
-  program.add_mode(llc::make_way_bounced_map(dynamic.partitions(), 2), 600,
-                   {}, "bounce");
-  program.add_mode(dynamic.partitions(), 1200, {}, "restore");
-  dynamic.program = std::move(program);
-  const std::vector<std::pair<const char*, ExperimentSetup>> cells = {
-      {"static SS(1,4,4)", make_paper_setup("SS(1,4,4)", 4)},
-      {"dynamic SS(32,2,2)", std::move(dynamic)},
-  };
-  for (const auto& [label, setup] : cells) {
-    sim::RandomWorkloadOptions workload;
-    workload.range_bytes = 16384;
-    workload.accesses = 3000;
-    workload.write_fraction = 0.4;
-    const auto traces = sim::make_disjoint_random_workload(
-        setup.config.num_cores, workload, 4711);
-    sim::ReplayRequest request;
-    request.setup = &setup;
-    request.workload.per_core = &traces;
-
-    request.options.cell_threads = 1;
-    const sim::RunMetrics baseline = sim::replay(request).metrics;
-    ASSERT_TRUE(baseline.completed) << label;
-    // Requests in flight across a transition answer to the transient bound;
-    // steady-state requests to the steady bound.
-    EXPECT_LE(baseline.observed_wcl,
-              std::max(baseline.analytical_wcl,
-                       baseline.transient_analytical_wcl))
-        << label;
-
-    sim::RunMetrics previous{};
-    for (const int threads : {2, 3, 8}) {
-      request.options.cell_threads = threads;
-      const sim::RunMetrics metrics = sim::replay(request).metrics;
-      const std::string tag =
-          std::string(label) + " t" + std::to_string(threads);
-      EXPECT_EQ(metrics.completed, baseline.completed) << tag;
-      EXPECT_EQ(metrics.end_cycle, baseline.end_cycle) << tag;
-      EXPECT_EQ(metrics.makespan, baseline.makespan) << tag;
-      EXPECT_EQ(metrics.observed_wcl, baseline.observed_wcl) << tag;
-      EXPECT_EQ(metrics.analytical_wcl, baseline.analytical_wcl) << tag;
-      EXPECT_EQ(metrics.observed_transient_wcl,
-                baseline.observed_transient_wcl)
-          << tag;
-      EXPECT_EQ(metrics.transient_analytical_wcl,
-                baseline.transient_analytical_wcl)
-          << tag;
-      EXPECT_EQ(metrics.llc_requests, baseline.llc_requests) << tag;
-      EXPECT_EQ(metrics.per_core_finish, baseline.per_core_finish) << tag;
-      EXPECT_EQ(metrics.per_core_l1_hits, baseline.per_core_l1_hits) << tag;
-      EXPECT_EQ(metrics.per_core_l2_hits, baseline.per_core_l2_hits) << tag;
-      EXPECT_EQ(metrics.per_core_misses, baseline.per_core_misses) << tag;
-      EXPECT_EQ(metrics.llc_stats.hit_presentations,
-                baseline.llc_stats.hit_presentations)
-          << tag;
-      EXPECT_EQ(metrics.llc_stats.blocked_presentations,
-                baseline.llc_stats.blocked_presentations)
-          << tag;
-      EXPECT_EQ(metrics.llc_stats.fills, baseline.llc_stats.fills) << tag;
-      EXPECT_EQ(metrics.llc_stats.evictions_started,
-                baseline.llc_stats.evictions_started)
-          << tag;
-      EXPECT_EQ(metrics.llc_stats.repartitions,
-                baseline.llc_stats.repartitions)
-          << tag;
-      EXPECT_EQ(metrics.llc_stats.drain_writebacks,
-                baseline.llc_stats.drain_writebacks)
-          << tag;
-      EXPECT_EQ(metrics.llc_stats.drain_back_invals,
-                baseline.llc_stats.drain_back_invals)
-          << tag;
-      EXPECT_EQ(metrics.memory.reads, baseline.memory.reads) << tag;
-      EXPECT_EQ(metrics.memory.writes, baseline.memory.writes) << tag;
-      EXPECT_EQ(metrics.memory.max_latency, baseline.memory.max_latency)
-          << tag;
-      EXPECT_EQ(metrics.dram_reads, baseline.dram_reads) << tag;
-      EXPECT_EQ(metrics.dram_writes, baseline.dram_writes) << tag;
-      // The reconciliation schedule itself is deterministic: replaying the
-      // identical request reproduces the identical segment/re-execution
-      // accounting.
-      const sim::RunMetrics again = sim::replay(request).metrics;
-      EXPECT_EQ(metrics.parallel_segments, again.parallel_segments) << tag;
-      EXPECT_EQ(metrics.parallel_reexecutions, again.parallel_reexecutions)
-          << tag;
-      if (threads == 3) {
-        previous = metrics;
-      }
-    }
-    // Different thread counts may legitimately differ only in the
-    // parallel_* diagnostics; spot-check the t3/t8 pair end to end.
-    EXPECT_EQ(previous.observed_wcl, baseline.observed_wcl) << label;
-  }
-}
-
 // The analytical hierarchy the paper reports: P bound < SS bound < NSS
 // bound for shared configurations on the same platform.
 TEST(WclBoundHierarchy, PrivateBelowSequencerBelowBestEffort) {
