@@ -56,7 +56,7 @@ Outcome run_variant(llc::ContentionMode mode, int interferer_weight,
   outcome.wait = outcome.completed
                      ? system.tracker().service_latency(CoreId{0}).max()
                      : system.now();
-  outcome.interferer_ops = system.core(CoreId{1}).ops_completed();
+  outcome.interferer_ops = system.ops_completed(CoreId{1});
   return outcome;
 }
 

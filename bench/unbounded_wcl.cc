@@ -67,7 +67,7 @@ int run(bench::BenchContext& ctx) {
            results::Value::of_text(completed ? "yes" : "NO (still starving)"),
            results::Value::of_int(static_cast<std::int64_t>(wait)),
            results::Value::of_int(static_cast<std::int64_t>(
-               scenario.system->core(scenario.interferer).ops_completed()))});
+               scenario.system->ops_completed(scenario.interferer)))});
       if (!variant.one_slot &&
           variant.mode == llc::ContentionMode::kBestEffort) {
         starved_as_expected = !completed;  // at every horizon

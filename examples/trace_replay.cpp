@@ -23,28 +23,24 @@ using namespace psllc;  // NOLINT
 int replay(const std::string& notation,
            const std::vector<core::Trace>& traces) {
   const int cores = static_cast<int>(traces.size());
-  const core::ExperimentSetup setup = core::make_paper_setup(notation, cores);
+  core::ExperimentSetup setup = core::make_paper_setup(notation, cores);
+  setup.config.keep_request_records = true;
   core::System system(setup);
-  // Histogram per core, sized by the analytical bound.
-  const Cycle bound = core::analytical_wcl_cycles(setup, CoreId{0});
-  std::vector<Histogram> histograms;
   for (int c = 0; c < cores; ++c) {
-    histograms.emplace_back(bound + 1, 20);
     system.set_trace(CoreId{c}, traces[static_cast<std::size_t>(c)]);
   }
-  system.add_slot_observer([&](const core::SlotEvent& event) {
-    if (event.action == core::SlotEvent::Action::kRequest &&
-        event.request_completed) {
-      // Service latency of the request that just completed: recover from
-      // the tracker's per-core summary delta is awkward; use the worst
-      // record instead after the run. Here we only count slots.
-      (void)event;
-    }
-  });
   const core::RunResult result = system.run(2'000'000'000);
   if (!result.all_done) {
     std::printf("replay did not complete\n");
     return 1;
+  }
+  // Service-latency histogram per core, sized by the analytical bound.
+  const Cycle bound = core::analytical_wcl_cycles(setup, CoreId{0});
+  std::vector<Histogram> histograms(static_cast<std::size_t>(cores),
+                                    Histogram(bound + 1, 20));
+  for (const core::RequestRecord& record : system.tracker().records()) {
+    histograms[static_cast<std::size_t>(record.core.value)].add(
+        record.service_latency());
   }
   std::printf("config %s | %d cores | executed %lld slots | makespan %lld "
               "cycles\n\n",
@@ -63,6 +59,10 @@ int replay(const std::string& notation,
                   static_cast<long long>(bound));
     }
     std::printf("\n");
+    if (summary.count() > 0) {
+      std::printf("%s",
+                  histograms[static_cast<std::size_t>(c)].to_ascii().c_str());
+    }
   }
   const auto& worst = system.tracker().worst_request();
   std::printf("\nworst request: %s line 0x%llx, service %lld cycles, %d "

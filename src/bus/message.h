@@ -24,7 +24,6 @@ struct BusMessage {
 
   // --- request fields ---
   AccessType access = AccessType::kRead;
-  std::uint64_t request_id = 0;  ///< tracker handle, assigned by the system
 
   // --- write-back fields ---
   bool carries_dirty_data = false;  ///< dirty data travels with the WB

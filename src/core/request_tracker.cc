@@ -12,8 +12,8 @@ RequestTracker::RequestTracker(int num_cores, bool keep_records)
   PSLLC_ASSERT(num_cores > 0, "tracker needs >=1 core");
 }
 
-std::uint64_t RequestTracker::begin(CoreId core, LineAddr line,
-                                    AccessType access, Cycle issued) {
+void RequestTracker::begin(CoreId core, LineAddr line, AccessType access,
+                           Cycle issued) {
   PSLLC_ASSERT(core.valid() &&
                    core.value < static_cast<int>(inflight_.size()),
                "bad core " << core.value);
@@ -22,42 +22,37 @@ std::uint64_t RequestTracker::begin(CoreId core, LineAddr line,
                to_string(core) << " already has an in-flight request "
                                   "(one outstanding request per core)");
   RequestRecord record;
-  record.id = next_id_++;
   record.core = core;
   record.line = line;
   record.access = access;
   record.issued = issued;
   slot = record;
-  return record.id;
 }
 
-RequestRecord& RequestTracker::inflight_mut(std::uint64_t id) {
-  for (auto& slot : inflight_) {
-    if (slot && slot->id == id) {
-      return *slot;
-    }
-  }
-  PSLLC_ASSERT(false, "unknown in-flight request id " << id);
-  // Unreachable; assertion_failed throws.
-  return *inflight_.front();
+RequestRecord& RequestTracker::inflight_mut(CoreId core) {
+  PSLLC_ASSERT(core.valid() &&
+                   core.value < static_cast<int>(inflight_.size()) &&
+                   inflight_[static_cast<std::size_t>(core.value)],
+               "no in-flight request for core " << core.value);
+  return *inflight_[static_cast<std::size_t>(core.value)];
 }
 
-void RequestTracker::on_presented(std::uint64_t id, Cycle slot_start) {
-  RequestRecord& record = inflight_mut(id);
+void RequestTracker::on_presented(CoreId core, Cycle slot_start) {
+  RequestRecord& record = inflight_mut(core);
   if (record.first_presented == kNoCycle) {
     record.first_presented = slot_start;
   }
   ++record.presentations;
 }
 
-void RequestTracker::on_completed(std::uint64_t id, Cycle completion) {
-  RequestRecord& record = inflight_mut(id);
+void RequestTracker::on_completed(CoreId core, Cycle completion) {
+  RequestRecord& record = inflight_mut(core);
   PSLLC_ASSERT(record.first_presented != kNoCycle,
                "request completed without ever being presented");
   record.completed = completion;
-  const auto core = static_cast<std::size_t>(record.core.value);
-  service_[core].add(record.service_latency());
-  total_[core].add(record.total_latency());
+  const auto index = static_cast<std::size_t>(core.value);
+  service_[index].add(record.service_latency());
+  total_[index].add(record.total_latency());
   ++completed_count_;
   if (!worst_ || record.service_latency() > worst_->service_latency()) {
     worst_ = record;
@@ -65,7 +60,7 @@ void RequestTracker::on_completed(std::uint64_t id, Cycle completion) {
   if (keep_records_) {
     records_.push_back(record);
   }
-  inflight_[core].reset();
+  inflight_[index].reset();
 }
 
 void RequestTracker::on_writeback_sent(CoreId core) {

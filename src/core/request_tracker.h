@@ -20,7 +20,6 @@
 namespace psllc::core {
 
 struct RequestRecord {
-  std::uint64_t id = 0;
   CoreId core;
   LineAddr line = 0;
   AccessType access = AccessType::kRead;
@@ -42,17 +41,16 @@ class RequestTracker {
   /// `keep_records` retains every finished record (tests, small runs).
   explicit RequestTracker(int num_cores, bool keep_records = false);
 
-  /// Starts tracking a request; returns its id.
-  std::uint64_t begin(CoreId core, LineAddr line, AccessType access,
-                      Cycle issued);
+  /// Starts tracking `core`'s request (at most one in flight per core).
+  void begin(CoreId core, LineAddr line, AccessType access, Cycle issued);
 
-  /// The request was presented on the bus in the slot starting at
-  /// `slot_start` (first call fixes first_presented; later calls count
-  /// retries).
-  void on_presented(std::uint64_t id, Cycle slot_start);
+  /// `core`'s in-flight request was presented on the bus in the slot
+  /// starting at `slot_start` (first call fixes first_presented; later
+  /// calls count retries).
+  void on_presented(CoreId core, Cycle slot_start);
 
-  /// The request's response completed at `completion`.
-  void on_completed(std::uint64_t id, Cycle completion);
+  /// `core`'s in-flight request completed at `completion`.
+  void on_completed(CoreId core, Cycle completion);
 
   /// `core` sent a write-back; attributed to its in-flight request if any.
   void on_writeback_sent(CoreId core);
@@ -75,10 +73,9 @@ class RequestTracker {
   [[nodiscard]] const std::vector<RequestRecord>& records() const;
 
  private:
-  RequestRecord& inflight_mut(std::uint64_t id);
+  RequestRecord& inflight_mut(CoreId core);
 
   bool keep_records_;
-  std::uint64_t next_id_ = 1;
   std::int64_t completed_count_ = 0;
   std::vector<std::optional<RequestRecord>> inflight_;  // per core
   std::vector<Summary> service_;                        // per core

@@ -2,14 +2,12 @@
 // cores (L1I/L1D + L2 each), a TDM-arbitrated shared bus, the partitioned
 // inclusive LLC, and DRAM behind it.
 //
-// Simulation advances one TDM slot at a time:
-//  1. every core executes local work (L1/L2 hits) up to the slot boundary;
-//  2. the slot owner's L2 controller round-robin-picks one eligible message
-//     (request or write-back) and places it on the bus;
-//  3. the LLC services it: hits/fills complete at the end of the slot;
-//     blocked requests may trigger an eviction whose back-invalidations are
-//     delivered to the owning cores immediately (their freeing write-backs
-//     occupy later slots of their own).
+// System is the step-every-slot driver over core::SlotBody
+// (core/slot_body.h), which holds the model's state and slot semantics. It
+// owns the memory backend and the traces, executes one TDM slot per
+// step_slot() and feeds every slot's SlotEvent to the registered
+// observers. It is also the reference the replay kernel is checked against
+// (sim::ReplayEngine::kLegacy).
 #ifndef PSLLC_CORE_SYSTEM_H_
 #define PSLLC_CORE_SYSTEM_H_
 
@@ -18,27 +16,16 @@
 #include <memory>
 #include <vector>
 
+#include "bus/pending_buffers.h"
 #include "bus/tdm_schedule.h"
 #include "core/request_tracker.h"
+#include "core/slot_body.h"
 #include "core/system_config.h"
-#include "core/trace_core.h"
 #include "llc/llc.h"
 #include "mem/memory_backend.h"
+#include "mem/private_cache.h"
 
 namespace psllc::core {
-
-/// What happened in one bus slot (fed to observers such as the
-/// DistanceMonitor).
-struct SlotEvent {
-  std::int64_t slot_index = 0;
-  Cycle slot_start = 0;
-  CoreId owner;
-  enum class Action : std::uint8_t { kIdle, kRequest, kWriteBack };
-  Action action = Action::kIdle;
-  LineAddr line = 0;
-  bool request_completed = false;  ///< kRequest: hit or filled this slot
-  bool writeback_frees = false;    ///< kWriteBack: freed an LLC entry
-};
 
 struct RunResult {
   bool all_done = false;
@@ -55,7 +42,8 @@ class System {
   System(const System&) = delete;
   System& operator=(const System&) = delete;
 
-  /// Assigns `trace` to `core` (before or between runs).
+  /// Assigns `trace` to `core` (before or between runs). Must not be
+  /// called while the core has a request outstanding.
   void set_trace(CoreId core, Trace trace);
 
   /// Scenario setup: `line` resident in the LLC and privately cached by
@@ -77,27 +65,55 @@ class System {
   RunResult run_slots(std::int64_t max_slots);
 
   [[nodiscard]] bool all_done() const;
-  [[nodiscard]] Cycle now() const { return now_; }
+  [[nodiscard]] Cycle now() const { return slot_index_ * config_.slot_width; }
   [[nodiscard]] std::int64_t current_slot() const { return slot_index_; }
 
   /// Max trace finish time across cores — the execution-time metric of the
   /// paper's Figure 8.
   [[nodiscard]] Cycle makespan() const;
 
-  [[nodiscard]] TraceCore& core(CoreId id);
-  [[nodiscard]] const TraceCore& core(CoreId id) const;
-  [[nodiscard]] const llc::PartitionedLlc& llc() const { return llc_; }
-  [[nodiscard]] llc::PartitionedLlc& llc_mut() { return llc_; }
-  [[nodiscard]] const RequestTracker& tracker() const { return tracker_; }
-  [[nodiscard]] const bus::TdmSchedule& schedule() const { return schedule_; }
+  // Per-core state; each accessor asserts that `core` is a valid id.
+  [[nodiscard]] const mem::PrivateCacheHierarchy& caches(CoreId core) const {
+    return body_.caches(lane(core));
+  }
+  [[nodiscard]] const bus::PendingBuffers& buffers(CoreId core) const {
+    return body_.buffers(lane(core));
+  }
+  /// Waiting for the response to its outstanding LLC request.
+  [[nodiscard]] bool blocked(CoreId core) const {
+    return body_.blocked(lane(core));
+  }
+  /// All trace entries completed (bus queues may still drain).
+  [[nodiscard]] bool trace_done(CoreId core) const {
+    return body_.trace_done(lane(core));
+  }
+  /// Cycle at which the last trace entry completed (valid once trace_done).
+  [[nodiscard]] Cycle finish_time(CoreId core) const {
+    return body_.finish_time(lane(core));
+  }
+  [[nodiscard]] std::uint64_t ops_completed(CoreId core) const {
+    return body_.ops_completed(lane(core));
+  }
+
+  [[nodiscard]] const llc::PartitionedLlc& llc() const { return body_.llc(); }
+  [[nodiscard]] llc::PartitionedLlc& llc_mut() { return body_.llc_mut(); }
+  [[nodiscard]] const RequestTracker& tracker() const {
+    return body_.tracker();
+  }
+  [[nodiscard]] const bus::TdmSchedule& schedule() const {
+    return body_.schedule();
+  }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
   /// Read-only query view of the memory backend behind the LLC (selected
   /// by config().dram.backend; owned by this System — see
   /// mem/memory_backend.h for the WCL contract). Only the query surface is
-  /// exposed; driving the backend stays internal to the replay engines.
+  /// exposed; driving the backend stays with the slot body.
   [[nodiscard]] mem::MemoryView memory() const {
     return mem::MemoryView(*memory_);
   }
+  /// The slot body this System drives. Lanes bound through it directly
+  /// borrow their traces (see SlotBody::bind_lane).
+  [[nodiscard]] SlotBody<mem::MemoryBackend>& body() { return body_; }
 
   /// Registers a per-slot observer (called after the slot's bus action).
   void add_slot_observer(std::function<void(const SlotEvent&)> observer);
@@ -105,32 +121,25 @@ class System {
   /// Voluntary write-backs cancelled because the core re-fetched the line
   /// while they were still queued (dirtiness folded back into the refill).
   [[nodiscard]] std::int64_t writebacks_cancelled() const {
-    return writebacks_cancelled_;
+    return body_.writebacks_cancelled();
   }
 
   /// Max observed service latency over requests whose in-flight interval
   /// overlapped a partition-mode transition window. kNoCycle when no
   /// request overlapped a transition (or the program is static).
   [[nodiscard]] Cycle observed_transient_wcl() const {
-    return observed_transient_wcl_;
+    return body_.observed_transient_wcl();
   }
 
  private:
-  void deliver_back_invalidation(const llc::BackInvalidation& binval,
-                                 Cycle slot_start);
-  void handle_private_victim(TraceCore& owner, const mem::Evicted& victim,
-                             Cycle completion);
+  /// `core`'s lane index; asserts the id is valid.
+  [[nodiscard]] int lane(CoreId core) const;
 
   SystemConfig config_;
-  bus::TdmSchedule schedule_;
   std::unique_ptr<mem::MemoryBackend> memory_;
-  llc::PartitionedLlc llc_;
-  RequestTracker tracker_;
-  std::vector<std::unique_ptr<TraceCore>> cores_;
-  Cycle now_ = 0;
+  SlotBody<mem::MemoryBackend> body_;
+  std::vector<Trace> traces_;  ///< per core; the body's lanes borrow them
   std::int64_t slot_index_ = 0;
-  std::int64_t writebacks_cancelled_ = 0;
-  Cycle observed_transient_wcl_ = kNoCycle;
   std::vector<std::function<void(const SlotEvent&)>> observers_;
 };
 

@@ -22,12 +22,13 @@
 // can increase, Observation 3) and kSetSequencer (the paper's SS — FIFO
 // arrival order enforced by the set sequencer, Theorem 4.8).
 //
-// The class is a template over the memory-backend type. The default
-// instantiation (`PartitionedLlc`, Memory = mem::MemoryBackend) dispatches
-// DRAM accesses virtually and is the conformance path used by core::System;
-// the replay kernel (sim/kernel.h) instantiates it against each concrete
-// `final` backend so the compiler devirtualizes and inlines the fill/drain
-// calls on the hot path. Both instantiations execute the same member bodies
+// The class is a template over the memory-backend type, like the slot body
+// (core/slot_body.h) that owns it. The default instantiation
+// (`PartitionedLlc`, Memory = mem::MemoryBackend) dispatches DRAM accesses
+// virtually and backs core::System; the replay kernel (sim/kernel.h)
+// instantiates the body, and so the LLC, against each concrete `final`
+// backend so the compiler devirtualizes and inlines the fill/drain calls
+// on the hot path. Both instantiations execute the same member bodies
 // (llc_impl.h), so behavior is identical by construction.
 #ifndef PSLLC_LLC_LLC_H_
 #define PSLLC_LLC_LLC_H_

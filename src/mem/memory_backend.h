@@ -321,9 +321,9 @@ class WriteQueueBackend final : public MemoryBackend {
 
 /// Narrow read-only query surface over a memory backend: counters, the
 /// WCL-contract bound, identity, and queue observability. This is what
-/// core::System::memory() hands out — consumers (metric fill, stress
-/// tests, benches) only ever query; mutation (read()/write()) stays
-/// internal to the replay engines that own the backend.
+/// core::System::memory() hands out — consumers (stress tests, benches)
+/// only ever query; mutation (read()/write()) stays with the LLC inside
+/// the slot body (core/slot_body.h).
 class MemoryView {
  public:
   explicit MemoryView(const MemoryBackend& backend) : backend_(&backend) {}

@@ -52,8 +52,7 @@ Addr mirror_window(const std::string& name, const core::Trace& trace) {
 /// One corpus cell via the shared replay entry point. The entry's trace is
 /// handed to sim::replay() as a shared workload — solo replay runs it on
 /// core 0 alone; mirrored replay runs one replica per active core, shifted
-/// by `window` — so no per-core trace copies are materialized on the
-/// kernel path (the legacy fallback shifts copies exactly as before).
+/// by `window` — so no per-core trace copies are materialized.
 CorpusCell run_corpus_cell(const std::string& name,
                            const SweepConfig& config,
                            const SweepOptions& options,

@@ -1,36 +1,91 @@
-// Tight replay kernel: the hot path behind sim::replay().
+// The replay kernel: the default driver behind sim::replay().
 //
-// The legacy core::System walks every TDM slot, calling run_until on every
-// core each slot and checking all_done between slots. The kernel replays
-// the same model event-style: it computes the exact next slot that carries
-// a bus action (an eligible PRB/PWB message, or a message a still-running
-// lane is provably about to enqueue), runs lanes forward only as far as the
-// no-overshoot bound allows, and executes action slots one by one with the
-// identical owner-pick / LLC / tracker sequence as System::step_slot. Idle
-// slots are skipped outright — which is sound because PendingBuffers::pick
-// leaves the round-robin preference untouched when nothing is eligible.
+// Both replay engines run the one slot body, core::SlotBody
+// (core/slot_body.h); they differ only in which slots they visit. The
+// reference driver, core::System, executes every TDM slot. The kernel
+// executes only the slots that carry a bus action: it computes the exact
+// next slot in which a buffered PRB/PWB message becomes pick-eligible, or
+// in which a still-running lane could at the earliest enqueue one, runs
+// lanes forward only as far as the no-overshoot bound allows, and executes
+// that slot through the body. Idle slots are skipped outright. The kernel's
+// own state — a TDM next-owned-slot table and a per-lane lower-bound cache
+// keyed on the body's lane versions — never feeds back into the model.
 //
-// State is struct-of-arrays: per-lane cursors, program counters, ready
-// times and block flags live in flat vectors (no per-op allocation, no
-// std::function, no virtual core objects). The memory backend is selected
-// once per cell and the LLC is instantiated against the concrete `final`
-// backend type (llc::BasicPartitionedLlc<Backend>), so DRAM service calls
-// devirtualize and inline; the virtual mem::MemoryBackend interface remains
-// the cold-path/conformance surface used by core::System.
-//
-// The kernel must be bit-identical to the legacy engine for every metric in
-// RunMetrics. Anything it cannot reproduce exactly is declared ineligible
-// in sim::kernel_eligible and falls back to legacy.
+// The memory backend is selected once per cell and the body is
+// instantiated on the concrete `final` backend, so DRAM service calls
+// devirtualize and inline.
 #ifndef PSLLC_SIM_KERNEL_H_
 #define PSLLC_SIM_KERNEL_H_
 
+#include <algorithm>
+
+#include "core/slot_body.h"
+#include "core/wcl_analysis.h"
 #include "sim/replay.h"
 
 namespace psllc::sim {
 
-/// Replays a kernel-eligible request. Precondition: kernel_eligible(request)
-/// (replay() enforces this; calling it directly with an ineligible request
-/// is an assertion failure).
+/// Binds the lanes of `body` to `workload` (borrowed): one trace per core,
+/// or one shared source on cores [0, replicas), core c shifted by
+/// c * window. Cores without a source stay empty.
+template <typename Backend>
+void bind_workload(core::SlotBody<Backend>& body,
+                   const ReplayWorkload& workload) {
+  for (int c = 0; c < body.num_lanes(); ++c) {
+    if (workload.per_core != nullptr) {
+      if (static_cast<std::size_t>(c) < workload.per_core->size()) {
+        body.bind_lane(c, (*workload.per_core)[static_cast<std::size_t>(c)],
+                       0);
+      }
+    } else if (c < workload.replicas) {
+      const Addr offset = workload.window * static_cast<Addr>(c);
+      if (workload.shared != nullptr) {
+        body.bind_lane(c, *workload.shared, offset);
+      } else {
+        body.bind_lane(c, *workload.shared_view, offset);
+      }
+    }
+  }
+}
+
+/// The metrics of a replay of `setup` on `body` that ended at `end_cycle`;
+/// `completed` means every lane drained within the horizon.
+template <typename Backend>
+[[nodiscard]] RunMetrics fill_metrics(const core::SlotBody<Backend>& body,
+                                      const core::ExperimentSetup& setup,
+                                      bool completed, Cycle end_cycle) {
+  RunMetrics metrics;
+  metrics.completed = completed;
+  metrics.end_cycle = end_cycle;
+  metrics.analytical_wcl = core::analytical_wcl_cycles(setup, CoreId{0});
+  metrics.transient_analytical_wcl =
+      core::transient_wcl_cycles(setup, CoreId{0});
+  metrics.observed_transient_wcl = body.observed_transient_wcl();
+  const core::RequestTracker& tracker = body.tracker();
+  metrics.llc_requests = tracker.completed_requests();
+  metrics.observed_wcl =
+      tracker.completed_requests() > 0 ? tracker.max_service_latency() : 0;
+  metrics.per_core_finish.reserve(static_cast<std::size_t>(body.num_lanes()));
+  Cycle makespan = 0;
+  for (int l = 0; l < body.num_lanes(); ++l) {
+    metrics.per_core_finish.push_back(body.trace_done(l) ? body.finish_time(l)
+                                                         : kNoCycle);
+    metrics.per_core_l1_hits.push_back(body.caches(l).l1_hits());
+    metrics.per_core_l2_hits.push_back(body.caches(l).l2_hits());
+    metrics.per_core_misses.push_back(body.caches(l).misses());
+    makespan = std::max(makespan, body.finish_time(l));
+  }
+  if (completed) {
+    metrics.makespan = makespan;
+  }
+  metrics.llc_stats = body.llc().stats();
+  metrics.memory = body.memory().counters();
+  metrics.dram_reads = metrics.memory.reads;
+  metrics.dram_writes = metrics.memory.writes;
+  return metrics;
+}
+
+/// Replays `request` with the kernel's skip driver.
 [[nodiscard]] RunMetrics run_kernel(const ReplayRequest& request);
 
 }  // namespace psllc::sim

@@ -1,10 +1,8 @@
 #include "sim/replay.h"
 
 #include <limits>
-#include <utility>
 
 #include "common/assert.h"
-#include "common/log.h"
 #include "core/system.h"
 #include "sim/kernel.h"
 
@@ -45,70 +43,24 @@ void validate_request(const ReplayRequest& request) {
   }
 }
 
-/// The legacy engine: materialize per-core traces and drive a core::System
-/// slot by slot. Shared sources are expanded into shifted copies exactly
-/// like the corpus runner always did, so the two engines replay
-/// byte-identical op streams.
+/// The reference engine: core::System steps every slot of the same body
+/// the kernel drives, reading the workload through the same lane cursors.
 RunMetrics run_legacy(const ReplayRequest& request) {
-  const core::ExperimentSetup& setup = *request.setup;
-  core::System system(setup);
-  const ReplayWorkload& w = request.workload;
-  if (w.per_core != nullptr) {
-    for (std::size_t c = 0; c < w.per_core->size(); ++c) {
-      system.set_trace(CoreId{static_cast<int>(c)}, (*w.per_core)[c]);
-    }
-  } else {
-    const core::Trace materialized =
-        w.shared_view != nullptr ? w.shared_view->to_trace() : core::Trace{};
-    const core::Trace& base = w.shared != nullptr ? *w.shared : materialized;
-    for (int c = 0; c < w.replicas; ++c) {
-      const Addr offset = w.window * static_cast<Addr>(c);
-      core::Trace shifted;
-      shifted.reserve(base.size());
-      for (const core::MemOp& op : base) {
-        shifted.push_back({op.addr + offset, op.type, op.gap});
-      }
-      system.set_trace(CoreId{c}, std::move(shifted));
-    }
-  }
-  return run_system(system, setup, request.options);
+  core::System system(*request.setup);
+  bind_workload(system.body(), request.workload);
+  const core::RunResult result = system.run(request.options.max_cycles);
+  return fill_metrics(system.body(), *request.setup, result.all_done,
+                      result.end_cycle);
 }
 
 }  // namespace
 
-bool kernel_eligible(const ReplayRequest& request) {
-  if (request.engine == ReplayEngine::kLegacy) {
-    return false;
-  }
-  if (request.setup == nullptr) {
-    return false;
-  }
-  // Record retention exposes the legacy presentation order (record ids are
-  // assigned in slot order; the kernel discovers misses in refinement
-  // order), so those runs stay on the legacy engine.
-  if (request.setup->config.keep_request_records) {
-    return false;
-  }
-  // Debug/trace logging expects the legacy per-slot log stream; the kernel
-  // never visits idle slots.
-  if (Logger::instance().enabled(LogLevel::kDebug)) {
-    return false;
-  }
-  return true;
-}
-
 ReplayResult replay(const ReplayRequest& request) {
   validate_request(request);
-  if (request.engine == ReplayEngine::kKernel) {
-    PSLLC_CONFIG_CHECK(kernel_eligible(request),
-                       "replay engine forced to kernel, but the request is "
-                       "not kernel-eligible");
-    return {run_kernel(request), true};
+  if (request.engine == ReplayEngine::kLegacy) {
+    return {run_legacy(request)};
   }
-  if (kernel_eligible(request)) {
-    return {run_kernel(request), true};
-  }
-  return {run_legacy(request), false};
+  return {run_kernel(request)};
 }
 
 }  // namespace psllc::sim

@@ -1,12 +1,12 @@
 // The one replay entry point every cell-shaped run goes through.
 //
 // The sweep grid (run_cell), the shard protocol (cell jobs), and the corpus
-// runner used to carry three near-identical "build traces, build a System,
-// run, collect metrics" code paths. They now all describe the work as a
-// ReplayRequest and call replay(), which routes the cell either through the
-// tight struct-of-arrays replay kernel (sim/kernel.h) or through the legacy
-// core::System slot loop. Both engines are required to produce bit-identical
-// RunMetrics; the kernel is an optimization, never a semantic fork.
+// runner all describe their work as a ReplayRequest and call replay(). Both
+// engines run the one slot body (core/slot_body.h): the replay kernel
+// (sim/kernel.h, the default) executes only the slots that carry a bus
+// action, the legacy engine (core::System) executes every slot. They
+// produce bit-identical RunMetrics, request records and trace logs; the
+// legacy engine is kept as the reference the kernel is checked against.
 #ifndef PSLLC_SIM_REPLAY_H_
 #define PSLLC_SIM_REPLAY_H_
 
@@ -19,21 +19,11 @@
 
 namespace psllc::sim {
 
-/// Which engine replays the cell.
+/// Which driver replays the cell.
 enum class ReplayEngine : std::uint8_t {
-  kAuto,    ///< kernel when eligible, legacy otherwise (the default)
-  kKernel,  ///< force the kernel (throws if the request is not eligible)
-  kLegacy,  ///< force the legacy core::System slot loop
+  kKernel,  ///< the event-driven skip driver (the default)
+  kLegacy,  ///< core::System, stepping every slot (the reference)
 };
-
-[[nodiscard]] constexpr const char* to_string(ReplayEngine e) {
-  switch (e) {
-    case ReplayEngine::kAuto: return "auto";
-    case ReplayEngine::kKernel: return "kernel";
-    case ReplayEngine::kLegacy: return "legacy";
-  }
-  return "?";
-}
 
 /// What each core replays. Exactly one source must be set:
 ///  * per_core — one trace per core (sweep cells), padded with idle cores;
@@ -56,24 +46,16 @@ struct ReplayRequest {
   const core::ExperimentSetup* setup = nullptr;  ///< borrowed, required
   ReplayWorkload workload;
   RunOptions options;
-  ReplayEngine engine = ReplayEngine::kAuto;
+  ReplayEngine engine = ReplayEngine::kKernel;
 };
 
 struct ReplayResult {
   RunMetrics metrics;
-  bool used_kernel = false;  ///< which engine actually ran
 };
 
-/// True when `request` can take the kernel fast path. The kernel refuses
-/// cells that need legacy-only observability: keep_request_records (record
-/// ids depend on the legacy slot-by-slot presentation order) and debug/trace
-/// logging (the kernel skips idle slots, so it cannot reproduce the legacy
-/// per-slot log stream).
-[[nodiscard]] bool kernel_eligible(const ReplayRequest& request);
-
-/// Replays the cell. Engine choice per `request.engine`; the returned
-/// metrics are bit-identical between engines by contract (enforced by the
-/// differential battery in tests/test_kernel.cc and the golden gates).
+/// Replays the cell on `request.engine`. The metrics are bit-identical
+/// between engines (checked by the differential battery in
+/// tests/test_kernel.cc and by the golden gates).
 [[nodiscard]] ReplayResult replay(const ReplayRequest& request);
 
 }  // namespace psllc::sim

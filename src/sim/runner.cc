@@ -1,7 +1,5 @@
 #include "sim/runner.h"
 
-#include "common/assert.h"
-#include "core/wcl_analysis.h"
 #include "sim/replay.h"
 
 namespace psllc::sim {
@@ -14,42 +12,6 @@ RunMetrics run_experiment(const core::ExperimentSetup& setup,
   request.workload.per_core = &traces;
   request.options = options;
   return replay(request).metrics;
-}
-
-RunMetrics run_system(core::System& system,
-                      const core::ExperimentSetup& setup,
-                      const RunOptions& options) {
-  const core::RunResult result = system.run(options.max_cycles);
-
-  RunMetrics metrics;
-  metrics.completed = result.all_done;
-  metrics.end_cycle = result.end_cycle;
-  metrics.analytical_wcl = core::analytical_wcl_cycles(setup, CoreId{0});
-  metrics.transient_analytical_wcl =
-      core::transient_wcl_cycles(setup, CoreId{0});
-  metrics.observed_transient_wcl = system.observed_transient_wcl();
-  const core::RequestTracker& tracker = system.tracker();
-  metrics.llc_requests = tracker.completed_requests();
-  metrics.observed_wcl =
-      tracker.completed_requests() > 0 ? tracker.max_service_latency() : 0;
-  const int cores = system.config().num_cores;
-  metrics.per_core_finish.reserve(static_cast<std::size_t>(cores));
-  for (int c = 0; c < cores; ++c) {
-    const core::TraceCore& core_ref = system.core(CoreId{c});
-    metrics.per_core_finish.push_back(
-        core_ref.trace_done() ? core_ref.finish_time() : kNoCycle);
-    metrics.per_core_l1_hits.push_back(core_ref.caches().l1_hits());
-    metrics.per_core_l2_hits.push_back(core_ref.caches().l2_hits());
-    metrics.per_core_misses.push_back(core_ref.caches().misses());
-  }
-  if (metrics.completed) {
-    metrics.makespan = system.makespan();
-  }
-  metrics.llc_stats = system.llc().stats();
-  metrics.memory = system.memory().counters();
-  metrics.dram_reads = metrics.memory.reads;
-  metrics.dram_writes = metrics.memory.writes;
-  return metrics;
 }
 
 }  // namespace psllc::sim

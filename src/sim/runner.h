@@ -1,14 +1,14 @@
-// One-shot experiment runner: builds a System from an ExperimentSetup,
-// installs traces, runs to completion, and gathers the metrics the paper's
-// evaluation reports.
+// One-shot experiment runner: replays per-core traces on an ExperimentSetup
+// and gathers the metrics the paper's evaluation reports.
 #ifndef PSLLC_SIM_RUNNER_H_
 #define PSLLC_SIM_RUNNER_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "core/system.h"
+#include "core/mem_op.h"
 #include "core/system_config.h"
+#include "llc/llc.h"
 #include "mem/memory_backend.h"
 
 namespace psllc::sim {
@@ -49,18 +49,11 @@ struct RunOptions {
 };
 
 /// Runs `traces` (one per core, padded with empty traces) built from
-/// `setup`. Thin wrapper over sim::replay() with a per-core workload and
-/// automatic engine choice — takes the replay kernel when eligible, the
-/// legacy System loop otherwise (see sim/replay.h).
+/// `setup`. Thin wrapper over sim::replay() with a per-core workload on
+/// the default engine (see sim/replay.h).
 [[nodiscard]] RunMetrics run_experiment(const core::ExperimentSetup& setup,
                                         const std::vector<core::Trace>& traces,
                                         const RunOptions& options = {});
-
-/// As above, but against an already-constructed system (traces installed by
-/// the caller); `analytical_wcl` is filled from `setup`.
-[[nodiscard]] RunMetrics run_system(core::System& system,
-                                    const core::ExperimentSetup& setup,
-                                    const RunOptions& options = {});
 
 }  // namespace psllc::sim
 

@@ -1,14 +1,15 @@
 // Zero-copy view of a binary (.pslt) trace file. The file is mmap'd
 // read-only and records are decoded in place on access, so opening and
 // validating a multi-GiB corpus entry costs one mmap (shared page cache
-// across processes), not a parse pass or a heap image. Consumers that
-// feed core::System still materialize a core::Trace via to_trace() —
-// the simulator replays std::vector traces — so the zero-copy win today
-// is in open/validate/inspect paths; keeping the replay itself on the
-// view is future work. When mmap is unavailable (non-POSIX host, or an
-// mmap failure on a regular file) the file is read into an owned buffer
-// instead — same interface, one copy. Non-seekable sources (pipes, FIFOs)
-// are out of scope here; feed them to trace::read_trace_binary.
+// across processes), not a parse pass or a heap image. Both replay
+// engines read a view through the slot body's lane cursor
+// (core/slot_body.h), which decodes records in batches with
+// decode_batch(), so replay needs no materialized copy either; to_trace()
+// remains for callers that want a core::Trace. When mmap is unavailable
+// (non-POSIX host, or an mmap failure on a regular file) the file is read
+// into an owned buffer instead — same interface, one copy. Non-seekable
+// sources (pipes, FIFOs) are out of scope here; feed them to
+// trace::read_trace_binary.
 #ifndef PSLLC_TRACE_MAPPED_TRACE_H_
 #define PSLLC_TRACE_MAPPED_TRACE_H_
 
@@ -47,7 +48,7 @@ class MappedTrace {
 
   /// Decodes `count` records starting at `first` into `out` (which must
   /// hold `count` ops), adding `addr_offset` to every address. One call per
-  /// replay-kernel chunk amortizes the per-record call overhead while the
+  /// lane-cursor chunk amortizes the per-record call overhead while the
   /// bytes stay on the mapped view.
   void decode_batch(std::uint64_t first, std::uint64_t count,
                     Addr addr_offset, core::MemOp* out) const;

@@ -18,12 +18,12 @@ TEST(UnboundedScenario, BestEffortMultiSlotStarvesCua) {
   // Run many periods: cua's single request must still be outstanding while
   // the interferer keeps completing accesses.
   scenario.system->run_slots(3000);
-  EXPECT_TRUE(scenario.system->core(scenario.cua).blocked())
+  EXPECT_TRUE(scenario.system->blocked(scenario.cua))
       << "cua unexpectedly completed under the unbounded scenario";
   EXPECT_EQ(scenario.system->tracker().service_latency(scenario.cua).count(),
             0);
   // The interferer is making progress the whole time (not a deadlock).
-  EXPECT_GT(scenario.system->core(scenario.interferer).ops_completed(), 500u);
+  EXPECT_GT(scenario.system->ops_completed(scenario.interferer), 500u);
 }
 
 TEST(UnboundedScenario, OneSlotTdmBoundsTheLatency) {
@@ -95,7 +95,7 @@ TEST(Fig3Scenario, SlotBySlotOwnershipMatchesTheFigure) {
   system.step_slot();
   EXPECT_GE(llc.find_way(scenario.c4, scenario.y), 0);
   EXPECT_EQ(llc.free_ways(scenario.cua, scenario.x), 0);
-  EXPECT_TRUE(system.core(scenario.cua).blocked());
+  EXPECT_TRUE(system.blocked(scenario.cua));
 
   // Figure slot 4 (cua): retry evicts l2 (owned by c3).
   system.step_slot();
@@ -125,7 +125,7 @@ TEST(Fig3Scenario, SlotBySlotOwnershipMatchesTheFigure) {
 
   // Figure slot 9 (cua): fill + response.
   system.step_slot();
-  EXPECT_FALSE(system.core(scenario.cua).blocked());
+  EXPECT_FALSE(system.blocked(scenario.cua));
   EXPECT_GE(llc.find_way(scenario.cua, scenario.x), 0);
   EXPECT_EQ(system.tracker().service_latency(scenario.cua).max(),
             scenario.expected_completion);
@@ -148,13 +148,12 @@ TEST(Fig4Scenario, CuaWriteBackLetsFartherCoreStealAndRaisesDistance) {
     system.step_slot();
   }
   EXPECT_EQ(llc.find_way(scenario.cua, scenario.l1), -1);  // freed
-  EXPECT_TRUE(
-      system.core(scenario.cua).buffers().has_writeback_for(scenario.l));
+  EXPECT_TRUE(system.buffers(scenario.cua).has_writeback_for(scenario.l));
 
   // cua's second presented slot: round-robin picks the forced WB of l —
   // the request cannot complete despite the free entry (the paper's step 5).
   system.step_slot();
-  EXPECT_TRUE(system.core(scenario.cua).blocked());
+  EXPECT_TRUE(system.blocked(scenario.cua));
   EXPECT_EQ(llc.find_way(scenario.cua, scenario.l), -1);  // set-1 way freed
 
   // c2's slot: Req Y occupies the set-0 entry freed by c4 — the core
@@ -175,7 +174,7 @@ TEST(Fig4Scenario, CuaWriteBackLetsFartherCoreStealAndRaisesDistance) {
   system.step_slot();
   system.step_slot();
   system.step_slot();
-  EXPECT_FALSE(system.core(scenario.cua).blocked());
+  EXPECT_FALSE(system.blocked(scenario.cua));
   EXPECT_EQ(system.tracker().service_latency(scenario.cua).max(),
             scenario.expected_completion);
 

@@ -1,15 +1,16 @@
 // Differential battery for the replay kernel (sim/kernel.h): across a
-// randomized (backend variant × partition notation × workload shape) grid,
-// the kernel and the legacy core::System slot loop must produce
-// bit-identical RunMetrics — every scalar, every per-core vector, every
-// LLC and memory counter. Also covers the shared/mirrored and mapped-view
-// workloads, eligibility fallbacks (the auto engine must take legacy AND
-// still match), and the forced-kernel rejection of ineligible requests.
+// randomized (backend variant × partition notation × workload shape ×
+// record retention) grid, the kernel's skip driver and the legacy
+// core::System driver, which steps every slot of the same slot body, must
+// produce bit-identical RunMetrics — every scalar, every per-core vector,
+// every LLC and memory counter — and identical trace-log streams. Also
+// covers the shared/mirrored and mapped-view workloads.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -24,17 +25,12 @@
 namespace psllc::sim {
 namespace {
 
-/// Runs `request` once per engine (forced) and checks the engines really
-/// were taken; returns {kernel, legacy} metrics.
-std::pair<RunMetrics, RunMetrics> run_both(ReplayRequest request,
-                                           const std::string& label) {
+/// Runs `request` once per engine; returns {kernel, legacy} metrics.
+std::pair<RunMetrics, RunMetrics> run_both(ReplayRequest request) {
   request.engine = ReplayEngine::kKernel;
-  const ReplayResult kernel = replay(request);
-  EXPECT_TRUE(kernel.used_kernel) << label;
+  const RunMetrics kernel = replay(request).metrics;
   request.engine = ReplayEngine::kLegacy;
-  const ReplayResult legacy = replay(request);
-  EXPECT_FALSE(legacy.used_kernel) << label;
-  return {kernel.metrics, legacy.metrics};
+  return {kernel, replay(request).metrics};
 }
 
 /// Workload shapes chosen to stress different kernel regimes: dense
@@ -72,17 +68,21 @@ TEST(KernelDifferential, MatchesLegacyAcrossBackendsNotationsAndShapes) {
       workload.gap = shape.gap;
       const std::vector<core::Trace> traces =
           make_disjoint_random_workload(4, workload, seed);
-      core::ExperimentSetup setup = core::make_paper_setup(notation, 4);
-      setup.config.dram = variant.config;
-      setup.config.validate();
-      ReplayRequest request;
-      request.setup = &setup;
-      request.workload.per_core = &traces;
-      const std::string label =
-          variant.label + " " + notation + " " + shape.name;
-      const auto [kernel, legacy] = run_both(request, label);
-      EXPECT_TRUE(kernel == legacy) << label;
-      EXPECT_TRUE(legacy.completed) << label;
+      for (const bool keep_records : {false, true}) {
+        core::ExperimentSetup setup = core::make_paper_setup(notation, 4);
+        setup.config.dram = variant.config;
+        setup.config.keep_request_records = keep_records;
+        setup.config.validate();
+        ReplayRequest request;
+        request.setup = &setup;
+        request.workload.per_core = &traces;
+        const std::string label = variant.label + " " + notation + " " +
+                                  shape.name +
+                                  (keep_records ? " records" : "");
+        const auto [kernel, legacy] = run_both(request);
+        EXPECT_TRUE(kernel == legacy) << label;
+        EXPECT_TRUE(legacy.completed) << label;
+      }
     }
   }
 }
@@ -101,9 +101,35 @@ TEST(KernelDifferential, MatchesLegacyOnTruncatedHorizon) {
   request.setup = &setup;
   request.workload.per_core = &traces;
   request.options.max_cycles = 20000;
-  const auto [kernel, legacy] = run_both(request, "truncated");
+  const auto [kernel, legacy] = run_both(request);
   EXPECT_FALSE(legacy.completed);
   EXPECT_TRUE(kernel == legacy) << "truncated";
+}
+
+// One core re-reads a single line (private hits, back to back, so an access
+// starts exactly at each slot boundary after a refill) while the other
+// streams misses through the same two-way LLC set, so every few slots an
+// eviction back-invalidates the hitting core's line. The kernel advances
+// the hitting core between executed slots; running it even one cycle past
+// a slot boundary would let it hit a line the reference driver has already
+// invalidated.
+TEST(KernelDifferential, MatchesLegacyWhenEvictionsRaceLocalHits) {
+  core::Trace hitter;
+  core::Trace streamer;
+  for (int i = 0; i < 3000; ++i) {
+    hitter.push_back(core::MemOp{0x40, AccessType::kRead, 0});
+    streamer.push_back(core::MemOp{
+        0x100000 + static_cast<Addr>(i) * 64, AccessType::kRead, 0});
+  }
+  const std::vector<core::Trace> traces{hitter, streamer};
+  const core::ExperimentSetup setup = core::make_paper_setup("NSS(1,2,2)", 2);
+  ReplayRequest request;
+  request.setup = &setup;
+  request.workload.per_core = &traces;
+  const auto [kernel, legacy] = run_both(request);
+  EXPECT_TRUE(legacy.completed);
+  EXPECT_GT(legacy.per_core_misses[0], 1);  // the evictions reached core 0
+  EXPECT_TRUE(kernel == legacy);
 }
 
 // Fewer traces than cores (idle cores) and the empty-trace edge.
@@ -118,7 +144,7 @@ TEST(KernelDifferential, MatchesLegacyWithIdleCores) {
   ReplayRequest request;
   request.setup = &setup;
   request.workload.per_core = &traces;
-  const auto [kernel, legacy] = run_both(request, "idle cores");
+  const auto [kernel, legacy] = run_both(request);
   EXPECT_TRUE(kernel == legacy) << "idle cores";
 }
 
@@ -138,14 +164,14 @@ TEST(KernelDifferential, MatchesLegacyOnSharedWorkloads) {
     request.workload.replicas = replicas;
     request.workload.window = replicas > 1 ? Addr{1} << 20 : 0;
     const std::string label = "shared x" + std::to_string(replicas);
-    const auto [kernel, legacy] = run_both(request, label);
+    const auto [kernel, legacy] = run_both(request);
     EXPECT_TRUE(kernel == legacy) << label;
   }
 }
 
-// The mapped-view workload: the kernel batch-decodes records straight off
-// the .pslt mmap; legacy materializes the view. Same metrics either way,
-// and identical to replaying the materialized trace.
+// The mapped-view workload: both engines batch-decode records straight off
+// the .pslt mmap. Same metrics either way, and identical to replaying the
+// materialized trace.
 TEST(KernelDifferential, MatchesLegacyOnMappedView) {
   RandomWorkloadOptions workload;
   workload.range_bytes = 32768;
@@ -162,7 +188,7 @@ TEST(KernelDifferential, MatchesLegacyOnMappedView) {
   request.workload.shared_view = &view;
   request.workload.replicas = 4;
   request.workload.window = Addr{1} << 20;
-  const auto [kernel, legacy] = run_both(request, "mapped view");
+  const auto [kernel, legacy] = run_both(request);
   EXPECT_TRUE(kernel == legacy) << "mapped view";
 
   ReplayRequest materialized = request;
@@ -174,78 +200,59 @@ TEST(KernelDifferential, MatchesLegacyOnMappedView) {
   std::filesystem::remove(path);
 }
 
-ReplayRequest small_request(const core::ExperimentSetup& setup,
-                            const std::vector<core::Trace>& traces) {
-  ReplayRequest request;
-  request.setup = &setup;
-  request.workload.per_core = &traces;
-  return request;
-}
+/// Captures every log line at kTrace while alive.
+class LogCapture {
+ public:
+  LogCapture() : saved_level_(Logger::instance().level()) {
+    Logger::instance().set_level(LogLevel::kTrace);
+    saved_sink_ = Logger::instance().set_sink(
+        [this](LogLevel, const std::string& line) { lines_.push_back(line); });
+  }
+  ~LogCapture() {
+    Logger::instance().set_sink(std::move(saved_sink_));
+    Logger::instance().set_level(saved_level_);
+  }
+  LogCapture(const LogCapture&) = delete;
+  LogCapture& operator=(const LogCapture&) = delete;
 
-// Eligibility fallbacks: the auto engine must decline the kernel (and the
-// result must still match) whenever legacy-only observability is on.
-TEST(KernelEligibility, AutoFallsBackAndStillMatches) {
+  [[nodiscard]] std::vector<std::string> take() {
+    return std::exchange(lines_, {});
+  }
+
+ private:
+  LogLevel saved_level_;
+  Logger::Sink saved_sink_;
+  std::vector<std::string> lines_;
+};
+
+// Idle slots log nothing, so skipping them leaves the trace log intact:
+// both engines narrate the same bus actions in the same slot order.
+TEST(KernelDifferential, TraceLogStreamsMatch) {
   RandomWorkloadOptions workload;
   workload.range_bytes = 8192;
   workload.accesses = 600;
+  workload.write_fraction = 0.4;
+  workload.gap = 9;
   const std::vector<core::Trace> traces =
       make_disjoint_random_workload(4, workload, 88);
+  const core::ExperimentSetup setup = core::make_paper_setup("NSS(1,4,4)", 4);
+  ReplayRequest request;
+  request.setup = &setup;
+  request.workload.per_core = &traces;
 
-  // Baseline: eligible, auto takes the kernel.
-  core::ExperimentSetup setup = core::make_paper_setup("SS(1,4,4)", 4);
-  {
-    const ReplayRequest request = small_request(setup, traces);
-    EXPECT_TRUE(kernel_eligible(request));
-    const ReplayResult result = replay(request);
-    EXPECT_TRUE(result.used_kernel);
-  }
-
-  // keep_request_records needs the legacy per-slot presentation order.
-  core::ExperimentSetup records = setup;
-  records.config.keep_request_records = true;
-  {
-    const ReplayRequest request = small_request(records, traces);
-    EXPECT_FALSE(kernel_eligible(request));
-    const ReplayResult result = replay(request);
-    EXPECT_FALSE(result.used_kernel);
-    ReplayRequest forced = request;
-    forced.engine = ReplayEngine::kLegacy;
-    EXPECT_TRUE(result.metrics == replay(forced).metrics)
-        << "keep_request_records fallback";
-  }
-
-  // Debug logging: the kernel skips idle slots, so it cannot reproduce the
-  // per-slot log stream; auto must run legacy.
-  const LogLevel saved = Logger::instance().level();
-  Logger::instance().set_level(LogLevel::kDebug);
-  {
-    const ReplayRequest request = small_request(setup, traces);
-    EXPECT_FALSE(kernel_eligible(request));
-    EXPECT_FALSE(replay(request).used_kernel);
-  }
-  Logger::instance().set_level(saved);
-
-  // Forced legacy is always honored.
-  {
-    ReplayRequest request = small_request(setup, traces);
-    request.engine = ReplayEngine::kLegacy;
-    EXPECT_FALSE(replay(request).used_kernel);
-  }
-}
-
-TEST(KernelEligibility, ForcedKernelRejectsIneligibleRequest) {
-  RandomWorkloadOptions workload;
-  workload.accesses = 50;
-  const std::vector<core::Trace> traces =
-      make_disjoint_random_workload(2, workload, 5);
-  core::ExperimentSetup setup = core::make_paper_setup("SS(1,4,4)", 4);
-  setup.config.keep_request_records = true;
-  ReplayRequest request = small_request(setup, traces);
+  LogCapture capture;
   request.engine = ReplayEngine::kKernel;
-  EXPECT_THROW((void)replay(request), ConfigError);
+  (void)replay(request);
+  const std::vector<std::string> kernel = capture.take();
+  request.engine = ReplayEngine::kLegacy;
+  (void)replay(request);
+  const std::vector<std::string> legacy = capture.take();
+  EXPECT_FALSE(kernel.empty());
+  EXPECT_TRUE(kernel == legacy) << kernel.size() << " kernel lines vs "
+                                << legacy.size() << " legacy lines";
 }
 
-TEST(KernelEligibility, ExactlyOneWorkloadSourceRequired) {
+TEST(ReplayRequest, ExactlyOneWorkloadSourceRequired) {
   const core::ExperimentSetup setup = core::make_paper_setup("SS(1,4,4)", 4);
   ReplayRequest request;
   request.setup = &setup;
@@ -258,7 +265,7 @@ TEST(KernelEligibility, ExactlyOneWorkloadSourceRequired) {
 }
 
 // The sweep harness must stay bit-identical across worker-thread counts
-// with the kernel on the hot path (cells route through ReplayEngine::kAuto).
+// with the kernel on the hot path (cells route through the default engine).
 TEST(KernelDifferential, SweepDeterministicAcrossThreadCounts) {
   SweepOptions serial;
   serial.address_ranges = {4096, 32768};

@@ -35,19 +35,16 @@ core::ExperimentSetup make_dynamic_setup(const char* notation, int cores,
 
 std::pair<RunMetrics, RunMetrics> run_both(
     const core::ExperimentSetup& setup,
-    const std::vector<core::Trace>& traces, const std::string& label,
+    const std::vector<core::Trace>& traces,
     Cycle max_cycles = 2'000'000'000) {
   ReplayRequest request;
   request.setup = &setup;
   request.workload.per_core = &traces;
   request.options.max_cycles = max_cycles;
   request.engine = ReplayEngine::kKernel;
-  const ReplayResult kernel = replay(request);
-  EXPECT_TRUE(kernel.used_kernel) << label;
+  const RunMetrics kernel = replay(request).metrics;
   request.engine = ReplayEngine::kLegacy;
-  const ReplayResult legacy = replay(request);
-  EXPECT_FALSE(legacy.used_kernel) << label;
-  return {kernel.metrics, legacy.metrics};
+  return {kernel, replay(request).metrics};
 }
 
 // The tentpole contract: both engines bit-identical through two
@@ -73,7 +70,7 @@ TEST(RepartitionDifferential, MatchesAcrossBackendsNotationsAndCadences) {
         const auto traces = make_disjoint_random_workload(2, workload, seed);
         const std::string label = variant.label + " " + notation + " cad" +
                                   std::to_string(cadence);
-        const auto [kernel, legacy] = run_both(setup, traces, label);
+        const auto [kernel, legacy] = run_both(setup, traces);
         EXPECT_TRUE(kernel == legacy) << label;
         EXPECT_TRUE(legacy.completed) << label;
         EXPECT_GE(legacy.llc_stats.repartitions, 1) << label;
@@ -94,7 +91,7 @@ TEST(RepartitionDifferential, MatchesOnHorizonTruncatedMidDrain) {
   const auto traces = make_disjoint_random_workload(2, workload, 77);
   // Epoch = 8 slots * 50 = 400 cycles; cut the run shortly after.
   const auto [kernel, legacy] =
-      run_both(setup, traces, "mid-drain", /*max_cycles=*/450);
+      run_both(setup, traces, /*max_cycles=*/450);
   EXPECT_FALSE(legacy.completed);
   EXPECT_TRUE(kernel == legacy) << "mid-drain";
 }
@@ -106,7 +103,7 @@ TEST(RepartitionDifferential, NoOpTransitionDrainsNothing) {
   workload.range_bytes = 8192;
   workload.accesses = 800;
   const auto traces = make_disjoint_random_workload(2, workload, 5);
-  const auto [kernel, legacy] = run_both(setup, traces, "noop");
+  const auto [kernel, legacy] = run_both(setup, traces);
   EXPECT_TRUE(kernel == legacy) << "noop";
   EXPECT_EQ(legacy.llc_stats.drain_writebacks, 0);
   EXPECT_EQ(legacy.llc_stats.drain_back_invals, 0);

@@ -34,7 +34,7 @@ TEST_P(StressInvariants, HoldEveryPeriod) {
     ++checks;
     system.llc().check_invariants();
     for (int c = 0; c < param.cores; ++c) {
-      ASSERT_TRUE(system.core(CoreId{c}).caches().check_inclusion());
+      ASSERT_TRUE(system.caches(CoreId{c}).check_inclusion());
     }
   });
   sim::RandomWorkloadOptions workload;
@@ -52,8 +52,7 @@ TEST_P(StressInvariants, HoldEveryPeriod) {
   // Post-run: every L2-resident line is still LLC-resident (inclusion
   // across levels), and no request is left dangling.
   for (int c = 0; c < param.cores; ++c) {
-    for (LineAddr line :
-         system.core(CoreId{c}).caches().l2().resident_lines()) {
+    for (LineAddr line : system.caches(CoreId{c}).l2().resident_lines()) {
       ASSERT_GE(system.llc().find_way(CoreId{c}, line), 0);
     }
     EXPECT_FALSE(system.llc().has_pending_request(CoreId{c}));

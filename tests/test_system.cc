@@ -46,11 +46,11 @@ TEST(System, L1AndL2HitLatencies) {
                                     MemOp{line_addr(0x10)}});
   const auto result = system.run(100000);
   ASSERT_TRUE(result.all_done);
-  const auto& caches = system.core(CoreId{0}).caches();
+  const auto& caches = system.caches(CoreId{0});
   EXPECT_EQ(caches.l1_hits(), 1);
   EXPECT_EQ(caches.misses(), 1);
   // Finish: response at 100, L1 hit costs 1 cycle.
-  EXPECT_EQ(system.core(CoreId{0}).finish_time(), 101);
+  EXPECT_EQ(system.finish_time(CoreId{0}), 101);
 }
 
 TEST(System, PrivatePartitionSelfEvictionMatchesDerivedBound) {
@@ -129,8 +129,8 @@ TEST(System, MakespanCoversAllCores) {
   const auto result = system.run(1000000);
   ASSERT_TRUE(result.all_done);
   EXPECT_EQ(system.makespan(),
-            std::max(system.core(CoreId{0}).finish_time(),
-                     system.core(CoreId{1}).finish_time()));
+            std::max(system.finish_time(CoreId{0}),
+                     system.finish_time(CoreId{1})));
 }
 
 TEST(System, RunWithoutTracesFinishesImmediately) {
@@ -155,10 +155,9 @@ TEST(System, InclusionInvariantHoldsAfterRandomRun) {
   const auto result = system.run(50'000'000);
   ASSERT_TRUE(result.all_done);
   for (int c = 0; c < 4; ++c) {
-    EXPECT_TRUE(system.core(CoreId{c}).caches().check_inclusion());
+    EXPECT_TRUE(system.caches(CoreId{c}).check_inclusion());
     // Every L2-resident line must be present in the LLC (LLC inclusive).
-    for (LineAddr line :
-         system.core(CoreId{c}).caches().l2().resident_lines()) {
+    for (LineAddr line : system.caches(CoreId{c}).l2().resident_lines()) {
       EXPECT_GE(system.llc().find_way(CoreId{c}, line), 0)
           << "line 0x" << std::hex << line << " in L2 of c" << c
           << " but not in the LLC";

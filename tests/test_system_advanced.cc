@@ -100,7 +100,7 @@ TEST(SystemAdvanced, WritebackCancelledWhenLineRefetched) {
   // The cancelled write-back never reached the LLC as a voluntary WB...
   EXPECT_EQ(system.llc().stats().voluntary_writebacks, 0);
   // ...and the dirtiness survived in the private hierarchy.
-  EXPECT_TRUE(system.core(CoreId{0}).caches().holds_dirty(0x10));
+  EXPECT_TRUE(system.caches(CoreId{0}).holds_dirty(0x10));
   system.llc().check_invariants();
 }
 
@@ -121,8 +121,7 @@ TEST(SystemAdvanced, WeightedScheduleRunsPrivatePartitions) {
   system.set_trace(CoreId{1}, traces[1]);
   ASSERT_TRUE(system.run(1'000'000'000).all_done);
   // The double-slot core finishes earlier on the identical workload shape.
-  EXPECT_LT(system.core(CoreId{0}).finish_time(),
-            system.core(CoreId{1}).finish_time());
+  EXPECT_LT(system.finish_time(CoreId{0}), system.finish_time(CoreId{1}));
 }
 
 TEST(SystemAdvanced, PwbOverflowIsDetectedNotSilent) {
@@ -145,8 +144,8 @@ TEST(SystemAdvanced, PwbOverflowIsDetectedNotSilent) {
 TEST(SystemAdvanced, InvalidCoreIdAsserts) {
   auto setup = make_paper_setup("P(8,2)", 4);
   System system(setup);
-  EXPECT_THROW((void)system.core(CoreId{4}), AssertionError);
-  EXPECT_THROW((void)system.core(kNoCore), AssertionError);
+  EXPECT_THROW((void)system.finish_time(CoreId{4}), AssertionError);
+  EXPECT_THROW((void)system.caches(kNoCore), AssertionError);
   EXPECT_THROW(system.set_trace(CoreId{-1}, Trace{}), AssertionError);
 }
 
