@@ -34,19 +34,20 @@ BENCHMARK(BM_CacheFillEvict);
 
 void BM_VictimSelection(benchmark::State& state) {
   const auto kind = static_cast<mem::ReplacementKind>(state.range(0));
-  auto policy = mem::make_replacement_policy(kind, 16, 7);
+  mem::ReplacementPolicy policy(kind, 16, 7);
   for (int w = 0; w < 16; ++w) {
-    policy->on_insert(w);
+    policy.on_insert(w);
   }
-  const std::vector<bool> eligible(16, true);
+  const mem::WayMask eligible = mem::way_range(0, 16);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->select_victim(eligible));
+    benchmark::DoNotOptimize(policy.select_victim(eligible));
   }
 }
 BENCHMARK(BM_VictimSelection)
     ->Arg(static_cast<int>(mem::ReplacementKind::kLru))
     ->Arg(static_cast<int>(mem::ReplacementKind::kFifo))
     ->Arg(static_cast<int>(mem::ReplacementKind::kRandom))
+    ->Arg(static_cast<int>(mem::ReplacementKind::kNmru))
     ->Arg(static_cast<int>(mem::ReplacementKind::kTreePlru));
 
 void BM_SetSequencerCycle(benchmark::State& state) {

@@ -8,6 +8,7 @@
 #ifndef PSLLC_COMMON_TYPES_H_
 #define PSLLC_COMMON_TYPES_H_
 
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -39,6 +40,10 @@ struct CoreId {
   [[nodiscard]] constexpr bool valid() const { return value >= 0; }
   constexpr auto operator<=>(const CoreId&) const = default;
 };
+
+/// Most cores a system may have: the LLC directory keeps each line's sharers
+/// as one 64-bit core mask.
+inline constexpr int kMaxCores = 64;
 
 /// Sentinel core id meaning "no core".
 inline constexpr CoreId kNoCore{};
@@ -76,12 +81,7 @@ enum class AccessType : std::uint8_t {
 
 /// log2 of a power of two. Precondition: is_pow2(v).
 [[nodiscard]] constexpr int log2_exact(std::uint64_t v) {
-  int n = 0;
-  while (v > 1) {
-    v >>= 1;
-    ++n;
-  }
-  return n;
+  return std::countr_zero(v);
 }
 
 }  // namespace psllc

@@ -22,6 +22,9 @@ bus::TdmSchedule SystemConfig::make_schedule() const {
 
 void SystemConfig::validate() const {
   PSLLC_CONFIG_CHECK(num_cores > 0, "need >=1 core");
+  PSLLC_CONFIG_CHECK(num_cores <= kMaxCores,
+                     "system has " << num_cores << " cores, more than the "
+                                   << kMaxCores << "-core limit");
   PSLLC_CONFIG_CHECK(slot_width > 0, "slot width must be positive");
   private_caches.validate();
   llc.validate();

@@ -287,11 +287,16 @@ class BasicPartitionedLlc {
                                         bool dirty_data, Cycle now);
 
   // --- transition internals ----------------------------------------------
-  [[nodiscard]] bool slot_frozen(int physical_set, int way) const {
-    return !frozen_.empty() &&
-           frozen_[static_cast<std::size_t>(physical_set) *
-                       static_cast<std::size_t>(config_.geometry.num_ways) +
-                   static_cast<std::size_t>(way)];
+  /// Ways of `physical_set` frozen by the active transition.
+  [[nodiscard]] mem::WayMask frozen_ways(int physical_set) const {
+    return frozen_.empty() ? 0
+                           : frozen_[static_cast<std::size_t>(physical_set)];
+  }
+  /// Invalid, unfrozen ways of `spec` in `physical_set`.
+  [[nodiscard]] mem::WayMask free_way_mask(const PartitionSpec& spec,
+                                           int physical_set) const {
+    return ~set_at(physical_set).valid_mask() & spec.way_mask() &
+           ~frozen_ways(physical_set);
   }
   /// (set, way) of `line` anywhere in the cache, or (-1, -1). Acks and
   /// write-backs issued before a mode switch may reference pre-transition
@@ -311,13 +316,14 @@ class BasicPartitionedLlc {
   ContentionMode mode_;
   Memory* memory_;
   std::vector<mem::CacheSet> sets_;
-  std::vector<std::vector<EntryState>> entry_states_;
+  std::vector<EntryState> entry_states_;  ///< sets x ways, set-major
   InclusiveDirectory directory_;
   SetSequencer sequencer_;
   std::vector<std::optional<Pending>> pending_;
   // Transition state (empty/false for static programs).
   bool transition_active_ = false;
-  std::vector<bool> frozen_;  ///< sets x ways; non-empty only mid-transition
+  /// Frozen ways per set; non-empty only mid-transition.
+  std::vector<mem::WayMask> frozen_;
   std::vector<std::pair<int, int>> drain_queue_;  ///< (set, way) scan order
   std::set<LineAddr> draining_lines_;
   int drain_remaining_ = 0;

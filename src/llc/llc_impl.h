@@ -10,11 +10,11 @@
 #error "llc_impl.h must be included via llc/llc.h"
 #endif
 
+#include <bit>
 #include <utility>
 
 #include "common/log.h"
 #include "common/rng.h"
-#include "mem/replacement.h"
 
 namespace psllc::llc {
 
@@ -32,6 +32,9 @@ BasicPartitionedLlc<Memory>::BasicPartitionedLlc(const LlcConfig& config,
       core_drain_busy_(static_cast<std::size_t>(num_cores), 0) {
   config_.validate();
   PSLLC_CONFIG_CHECK(num_cores > 0, "need >=1 core");
+  PSLLC_CONFIG_CHECK(num_cores <= kMaxCores,
+                     "LLC has " << num_cores << " cores, more than the "
+                                << kMaxCores << "-core directory limit");
   PSLLC_CONFIG_CHECK(program_.num_modes() > 0, "partition program is empty");
   PSLLC_CONFIG_CHECK(
       program_.geometry().num_sets == config_.geometry.num_sets &&
@@ -39,16 +42,13 @@ BasicPartitionedLlc<Memory>::BasicPartitionedLlc(const LlcConfig& config,
           program_.geometry().line_bytes == config_.geometry.line_bytes,
       "partition program geometry differs from LLC geometry");
   sets_.reserve(static_cast<std::size_t>(config_.geometry.num_sets));
-  entry_states_.reserve(static_cast<std::size_t>(config_.geometry.num_sets));
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
-    sets_.emplace_back(config_.geometry.num_ways,
-                       mem::make_replacement_policy(
-                           config_.replacement, config_.geometry.num_ways,
-                           mix_seed(config_.seed,
-                                    static_cast<std::uint64_t>(s), 0x11c)));
-    entry_states_.emplace_back(
-        static_cast<std::size_t>(config_.geometry.num_ways));
+    sets_.emplace_back(mem::ReplacementPolicy(
+        config_.replacement, config_.geometry.num_ways,
+        mix_seed(config_.seed, static_cast<std::uint64_t>(s), 0x11c)));
   }
+  entry_states_.resize(
+      static_cast<std::size_t>(config_.geometry.capacity_lines()));
 }
 
 template <typename Memory>
@@ -84,15 +84,15 @@ const mem::CacheSet& BasicPartitionedLlc<Memory>::set_at(
 template <typename Memory>
 typename BasicPartitionedLlc<Memory>::EntryState&
 BasicPartitionedLlc<Memory>::entry_state(int physical_set, int way) {
-  return entry_states_[static_cast<std::size_t>(physical_set)]
-                      [static_cast<std::size_t>(way)];
+  return entry_states_[static_cast<std::size_t>(
+      physical_set * config_.geometry.num_ways + way)];
 }
 
 template <typename Memory>
 const typename BasicPartitionedLlc<Memory>::EntryState&
 BasicPartitionedLlc<Memory>::entry_state(int physical_set, int way) const {
-  return entry_states_[static_cast<std::size_t>(physical_set)]
-                      [static_cast<std::size_t>(way)];
+  return entry_states_[static_cast<std::size_t>(
+      physical_set * config_.geometry.num_ways + way)];
 }
 
 template <typename Memory>
@@ -100,8 +100,10 @@ int BasicPartitionedLlc<Memory>::find_way_raw(const PartitionSpec& spec,
                                               int physical_set,
                                               LineAddr line) const {
   const mem::CacheSet& set = set_at(physical_set);
-  for (int w = spec.first_way; w < spec.first_way + spec.num_ways; ++w) {
-    if (set.way(w).valid() && set.way(w).line == line) {
+  for (mem::WayMask m = set.valid_mask() & spec.way_mask(); m != 0;
+       m &= m - 1) {
+    const int w = mem::lowest_way(m);
+    if (set.way(w).line == line) {
       return w;
     }
   }
@@ -111,24 +113,14 @@ int BasicPartitionedLlc<Memory>::find_way_raw(const PartitionSpec& spec,
 template <typename Memory>
 int BasicPartitionedLlc<Memory>::find_free_way(const PartitionSpec& spec,
                                                int physical_set) const {
-  const mem::CacheSet& set = set_at(physical_set);
-  for (int w = spec.first_way; w < spec.first_way + spec.num_ways; ++w) {
-    if (!set.way(w).valid() && !slot_frozen(physical_set, w)) {
-      return w;
-    }
-  }
-  return -1;
+  const mem::WayMask free = free_way_mask(spec, physical_set);
+  return free != 0 ? mem::lowest_way(free) : -1;
 }
 
 template <typename Memory>
 int BasicPartitionedLlc<Memory>::count_free_ways(const PartitionSpec& spec,
                                                  int physical_set) const {
-  const mem::CacheSet& set = set_at(physical_set);
-  int count = 0;
-  for (int w = spec.first_way; w < spec.first_way + spec.num_ways; ++w) {
-    count += (!set.way(w).valid() && !slot_frozen(physical_set, w)) ? 1 : 0;
-  }
-  return count;
+  return std::popcount(free_way_mask(spec, physical_set));
 }
 
 template <typename Memory>
@@ -281,17 +273,16 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
     }
     // Select a victim among valid, not-already-pending ways of this
     // partition.
-    std::vector<bool> eligible(
-        static_cast<std::size_t>(config_.geometry.num_ways), false);
-    bool any = false;
-    for (int w = spec.first_way; w < spec.first_way + spec.num_ways; ++w) {
-      if (set.way(w).valid() && !entry_state(pset, w).pending_inval &&
+    mem::WayMask eligible = 0;
+    for (mem::WayMask m = set.valid_mask() & spec.way_mask(); m != 0;
+         m &= m - 1) {
+      const int w = mem::lowest_way(m);
+      if (!entry_state(pset, w).pending_inval &&
           !entry_state(pset, w).draining) {
-        eligible[static_cast<std::size_t>(w)] = true;
-        any = true;
+        eligible |= mem::way_bit(w);
       }
     }
-    if (!any) {
+    if (eligible == 0) {
       break;  // every line is already being evicted
     }
     const int victim = set.select_victim(eligible);
@@ -515,7 +506,6 @@ template <typename Memory>
 void BasicPartitionedLlc<Memory>::preload(LineAddr line,
                                           const std::vector<CoreId>& sharers,
                                           bool dirty) {
-  PSLLC_ASSERT(!sharers.empty() || true, "");
   // Map through the partition of the first sharer, or partition 0 when the
   // line has no private copies.
   const int pid = sharers.empty() ? 0 : partition_of_checked(sharers.front());
@@ -607,9 +597,7 @@ void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
   // at the drain fence.
   const PartitionMap& from = program_.mode(mode_index_ - 1).map;
   const PartitionMap& to = program_.mode(mode_index_).map;
-  frozen_.assign(static_cast<std::size_t>(config_.geometry.num_sets) *
-                     static_cast<std::size_t>(config_.geometry.num_ways),
-                 false);
+  frozen_.assign(static_cast<std::size_t>(config_.geometry.num_sets), 0);
   auto covering = [](const PartitionMap& map, int s, int w) {
     for (int p = 0; p < map.num_partitions(); ++p) {
       if (map.spec(p).contains_set(s) && map.spec(p).contains_way(w)) {
@@ -636,9 +624,7 @@ void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
     for (int w = 0; w < config_.geometry.num_ways; ++w) {
       if (assignment_changed(s, w)) {
-        frozen_[static_cast<std::size_t>(s) *
-                    static_cast<std::size_t>(config_.geometry.num_ways) +
-                static_cast<std::size_t>(w)] = true;
+        frozen_[static_cast<std::size_t>(s)] |= mem::way_bit(w);
       }
     }
   }
@@ -809,20 +795,41 @@ void BasicPartitionedLlc<Memory>::check_invariants() const {
       }
     }
   }
-  // Every sequencer waiter must have a matching pending request.
-  for (std::size_t c = 0; c < pending_.size(); ++c) {
-    const auto& pending = pending_[c];
-    if (!pending) {
-      continue;
-    }
-    const SetKey key{pending->partition, pending->physical_set};
-    if (mode_ == ContentionMode::kSetSequencer) {
-      // A pending request is queued only after its first blocked
-      // presentation; being unqueued is legal, double-queuing is not
-      // (enforced by SetSequencer::enqueue).
-      (void)key;
+  // Every sequencer waiter must have a matching pending request. Waiters
+  // are queued under (active partition, set) keys — the sequencer is
+  // cleared when a transition renumbers partitions — so scanning those keys
+  // must account for every live queue. A pending request is queued only
+  // after its first blocked presentation, so being unqueued is legal.
+  const PartitionMap& map = partitions();
+  int keys_with_waiters = 0;
+  for (int p = 0; p < map.num_partitions(); ++p) {
+    const PartitionSpec& spec = map.spec(p);
+    for (int s = spec.first_set; s < spec.first_set + spec.num_sets; ++s) {
+      const SetKey key{p, s};
+      if (!sequencer_.has_queue(key)) {
+        continue;
+      }
+      ++keys_with_waiters;
+      for (std::size_t c = 0; c < pending_.size(); ++c) {
+        const CoreId core{static_cast<int>(c)};
+        if (!sequencer_.is_queued(key, core)) {
+          continue;
+        }
+        const auto& pending = pending_[c];
+        PSLLC_ASSERT(pending.has_value() && pending->partition == p &&
+                         pending->physical_set == s,
+                     to_string(core) << " waits in the sequencer for "
+                                        "partition "
+                                     << p << " set " << s
+                                     << " without a pending request there");
+      }
     }
   }
+  PSLLC_ASSERT(sequencer_.active_queues() == keys_with_waiters,
+               "sequencer has " << sequencer_.active_queues()
+                                << " live queues, but only "
+                                << keys_with_waiters
+                                << " keys of the active map have waiters");
 }
 
 }  // namespace psllc::llc

@@ -56,6 +56,11 @@ struct PartitionSpec {
     return way >= first_way && way < first_way + num_ways;
   }
 
+  /// The partition's ways as a mask. Precondition: validated.
+  [[nodiscard]] mem::WayMask way_mask() const {
+    return mem::way_range(first_way, num_ways);
+  }
+
   [[nodiscard]] bool contains_set(int set) const {
     return set >= first_set && set < first_set + num_sets;
   }

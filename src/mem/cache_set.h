@@ -1,8 +1,11 @@
 // One set of a set-associative cache: line metadata plus replacement state.
+// The per-access members are defined here so they inline into the private
+// caches and the LLC.
 #ifndef PSLLC_MEM_CACHE_SET_H_
 #define PSLLC_MEM_CACHE_SET_H_
 
-#include <memory>
+#include <bit>
+#include <utility>
 #include <vector>
 
 #include "mem/cache_types.h"
@@ -12,52 +15,111 @@ namespace psllc::mem {
 
 class CacheSet {
  public:
-  CacheSet(int ways, std::unique_ptr<ReplacementPolicy> policy);
+  /// A set with `policy.ways()` ways, all invalid.
+  explicit CacheSet(ReplacementPolicy policy)
+      : lines_(static_cast<std::size_t>(policy.ways())),
+        policy_(std::move(policy)) {}
 
-  CacheSet(const CacheSet& other);
-  CacheSet& operator=(const CacheSet& other);
-  CacheSet(CacheSet&&) noexcept = default;
-  CacheSet& operator=(CacheSet&&) noexcept = default;
-
-  [[nodiscard]] int ways() const { return static_cast<int>(lines_.size()); }
+  [[nodiscard]] int ways() const { return policy_.ways(); }
 
   /// Way holding `line`, or -1.
-  [[nodiscard]] int find(LineAddr line) const;
+  [[nodiscard]] int find(LineAddr line) const {
+    for (WayMask m = valid_; m != 0; m &= m - 1) {
+      const int w = lowest_way(m);
+      if (lines_[static_cast<std::size_t>(w)].line == line) {
+        return w;
+      }
+    }
+    return -1;
+  }
 
-  /// Any invalid way, or -1 when the set is full.
-  [[nodiscard]] int find_free() const;
+  /// Lowest invalid way, or -1 when the set is full.
+  [[nodiscard]] int find_free() const {
+    const WayMask free = ~valid_ & way_range(0, ways());
+    return free != 0 ? lowest_way(free) : -1;
+  }
 
-  [[nodiscard]] const LineMeta& way(int w) const;
-  [[nodiscard]] bool full() const { return find_free() < 0; }
-  [[nodiscard]] int valid_count() const;
+  [[nodiscard]] const LineMeta& way(int w) const {
+    check_way(w);
+    return lines_[static_cast<std::size_t>(w)];
+  }
+  [[nodiscard]] int valid_count() const { return std::popcount(valid_); }
+  /// The valid ways.
+  [[nodiscard]] WayMask valid_mask() const { return valid_; }
 
   /// Install `line` into way `w` (must be invalid) and update policy state.
-  void insert(LineAddr line, int w, LineState state);
+  void insert(LineAddr line, int w, LineState state) {
+    check_way(w);
+    PSLLC_ASSERT(state != LineState::kInvalid, "cannot insert an invalid line");
+    LineMeta& meta = lines_[static_cast<std::size_t>(w)];
+    PSLLC_ASSERT(!meta.valid(),
+                 "way " << w << " already holds line 0x" << std::hex
+                        << meta.line);
+    PSLLC_ASSERT(find(line) < 0,
+                 "line 0x" << std::hex << line << " already present in set");
+    meta.line = line;
+    meta.state = state;
+    valid_ |= way_bit(w);
+    policy_.on_insert(w);
+  }
 
   /// Record a hit on way `w`.
-  void touch(int w);
+  void touch(int w) {
+    check_way(w);
+    PSLLC_ASSERT(lines_[static_cast<std::size_t>(w)].valid(),
+                 "touch on invalid way " << w);
+    policy_.on_access(w);
+  }
 
   /// Mark way `w` dirty (store hit). Precondition: valid.
-  void mark_dirty(int w);
+  void mark_dirty(int w) { set_state(w, LineState::kDirty, "mark_dirty"); }
 
   /// Mark way `w` clean (after write-back of data). Precondition: valid.
-  void mark_clean(int w);
+  void mark_clean(int w) { set_state(w, LineState::kClean, "mark_clean"); }
 
   /// Invalidate way `w`; returns the old metadata.
-  LineMeta invalidate(int w);
+  LineMeta invalidate(int w) {
+    check_way(w);
+    LineMeta& meta = lines_[static_cast<std::size_t>(w)];
+    PSLLC_ASSERT(meta.valid(), "invalidate on invalid way " << w);
+    const LineMeta old = meta;
+    meta = LineMeta{};
+    valid_ &= ~way_bit(w);
+    policy_.on_invalidate(w);
+    return old;
+  }
 
-  /// Select a victim among valid ways satisfying `eligible` (size == ways());
-  /// -1 when none. Does not modify line state.
-  [[nodiscard]] int select_victim(const std::vector<bool>& eligible);
+  /// Select a victim among the valid ways set in `eligible`; -1 when none.
+  /// Does not modify line state.
+  [[nodiscard]] int select_victim(WayMask eligible) {
+    // The policy must never be offered an invalid way.
+    const WayMask invalid = eligible & ~valid_;
+    PSLLC_ASSERT(invalid == 0,
+                 "eligible mask includes invalid way " << lowest_way(invalid));
+    return policy_.select_victim(eligible);
+  }
 
   /// Convenience: victim among all valid ways.
-  [[nodiscard]] int select_victim_any();
+  [[nodiscard]] int select_victim_any() {
+    return policy_.select_victim(valid_);
+  }
 
  private:
-  void check_way(int w) const;
+  void check_way(int w) const {
+    PSLLC_ASSERT(w >= 0 && w < ways(),
+                 "way " << w << " out of range [0," << ways() << ")");
+  }
+
+  void set_state(int w, LineState state, const char* what) {
+    check_way(w);
+    LineMeta& meta = lines_[static_cast<std::size_t>(w)];
+    PSLLC_ASSERT(meta.valid(), what << " on invalid way " << w);
+    meta.state = state;
+  }
 
   std::vector<LineMeta> lines_;
-  std::unique_ptr<ReplacementPolicy> policy_;
+  WayMask valid_ = 0;  ///< bit w set iff lines_[w] is valid
+  ReplacementPolicy policy_;
 };
 
 }  // namespace psllc::mem

@@ -2,6 +2,7 @@
 #ifndef PSLLC_MEM_CACHE_TYPES_H_
 #define PSLLC_MEM_CACHE_TYPES_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -36,6 +37,24 @@ struct LineMeta {
   [[nodiscard]] bool dirty() const { return state == LineState::kDirty; }
 };
 
+/// One bit per way of a set (bit w = way w). Replacement policies pick
+/// victims from such a mask, so a set has at most kMaxWays ways.
+using WayMask = std::uint64_t;
+inline constexpr int kMaxWays = 64;
+
+[[nodiscard]] constexpr WayMask way_bit(int way) { return WayMask{1} << way; }
+
+/// Mask of ways [first, first + count). Precondition: the range lies in
+/// [0, kMaxWays].
+[[nodiscard]] constexpr WayMask way_range(int first, int count) {
+  return (count >= kMaxWays ? ~WayMask{0} : way_bit(count) - 1) << first;
+}
+
+/// Lowest way in a nonzero mask.
+[[nodiscard]] constexpr int lowest_way(WayMask mask) {
+  return std::countr_zero(mask);
+}
+
 /// Shape of a set-associative cache.
 struct CacheGeometry {
   int num_sets = 1;
@@ -51,6 +70,9 @@ struct CacheGeometry {
   void validate() const {
     PSLLC_CONFIG_CHECK(num_sets > 0, "cache needs >=1 set, got " << num_sets);
     PSLLC_CONFIG_CHECK(num_ways > 0, "cache needs >=1 way, got " << num_ways);
+    PSLLC_CONFIG_CHECK(num_ways <= kMaxWays,
+                       "cache has " << num_ways << " ways, more than the "
+                                    << kMaxWays << "-way limit");
     PSLLC_CONFIG_CHECK(line_bytes > 0 && is_pow2(
                            static_cast<std::uint64_t>(line_bytes)),
                        "line size must be a power of two, got " << line_bytes);

@@ -27,22 +27,59 @@ class SetAssocCache {
   [[nodiscard]] const CacheGeometry& geometry() const { return geometry_; }
 
   /// True if `line` is present.
-  [[nodiscard]] bool contains(LineAddr line) const;
+  [[nodiscard]] bool contains(LineAddr line) const {
+    return set_for(line).find(line) >= 0;
+  }
 
   /// True if `line` is present and dirty.
   [[nodiscard]] bool is_dirty(LineAddr line) const;
 
   /// Lookup for an access: returns true on hit, updating replacement state
   /// and dirtiness (if `write`).
-  bool access(LineAddr line, bool write);
+  bool access(LineAddr line, bool write) {
+    CacheSet& set = set_for(line);
+    const int way = set.find(line);
+    if (way < 0) {
+      ++misses_;
+      return false;
+    }
+    ++hits_;
+    set.touch(way);
+    if (write) {
+      set.mark_dirty(way);
+    }
+    return true;
+  }
 
   /// Inserts `line` (must be absent). If the set is full, a victim is
   /// replaced and returned. `dirty` sets the initial state.
-  std::optional<Evicted> fill(LineAddr line, bool dirty);
+  std::optional<Evicted> fill(LineAddr line, bool dirty) {
+    CacheSet& set = set_for(line);
+    PSLLC_ASSERT(set.find(line) < 0,
+                 "fill of already-present line 0x" << std::hex << line);
+    std::optional<Evicted> victim;
+    int way = set.find_free();
+    if (way < 0) {
+      way = set.select_victim_any();
+      PSLLC_ASSERT(way >= 0, "full set must yield a victim");
+      const LineMeta old = set.invalidate(way);
+      victim = Evicted{old.line, old.dirty()};
+    }
+    set.insert(line, way, dirty ? LineState::kDirty : LineState::kClean);
+    return victim;
+  }
 
   /// Removes `line` if present; returns its metadata (for dirty write-back
   /// decisions). No-op returning nullopt when absent.
-  std::optional<Evicted> remove(LineAddr line);
+  std::optional<Evicted> remove(LineAddr line) {
+    CacheSet& set = set_for(line);
+    const int way = set.find(line);
+    if (way < 0) {
+      return std::nullopt;
+    }
+    const LineMeta old = set.invalidate(way);
+    return Evicted{old.line, old.dirty()};
+  }
 
   /// Marks `line` clean if present (data written back but retained).
   void mark_clean(LineAddr line);
@@ -62,8 +99,12 @@ class SetAssocCache {
   void reset_stats() { hits_ = misses_ = 0; }
 
  private:
-  CacheSet& set_for(LineAddr line);
-  [[nodiscard]] const CacheSet& set_for(LineAddr line) const;
+  CacheSet& set_for(LineAddr line) {
+    return sets_[static_cast<std::size_t>(geometry_.set_of(line))];
+  }
+  [[nodiscard]] const CacheSet& set_for(LineAddr line) const {
+    return sets_[static_cast<std::size_t>(geometry_.set_of(line))];
+  }
 
   CacheGeometry geometry_;
   std::vector<CacheSet> sets_;

@@ -2,6 +2,8 @@
 // and geometry validation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/assert.h"
 #include "mem/cache_set.h"
 #include "mem/set_assoc_cache.h"
@@ -10,7 +12,7 @@ namespace psllc::mem {
 namespace {
 
 CacheSet make_set(int ways) {
-  return CacheSet(ways, make_replacement_policy(ReplacementKind::kLru, ways));
+  return CacheSet(ReplacementPolicy(ReplacementKind::kLru, ways));
 }
 
 // --- CacheSet ----------------------------------------------------------------
@@ -52,8 +54,23 @@ TEST(CacheSet, DirtyTransitions) {
 TEST(CacheSet, VictimMaskRejectsInvalidWays) {
   CacheSet set = make_set(2);
   set.insert(0x1, 0, LineState::kClean);
-  std::vector<bool> eligible{true, true};  // way 1 is invalid
-  EXPECT_THROW((void)set.select_victim(eligible), AssertionError);
+  EXPECT_THROW((void)set.select_victim(0b11), AssertionError);  // way 1 invalid
+  EXPECT_THROW((void)set.select_victim(0b100), AssertionError);  // no way 2
+  EXPECT_EQ(set.select_victim(0b1), 0);
+}
+
+TEST(CacheSet, ValidMaskTracksInsertAndInvalidate) {
+  CacheSet set = make_set(3);
+  set.insert(0x1, 2, LineState::kClean);
+  set.insert(0x2, 0, LineState::kDirty);
+  EXPECT_EQ(set.valid_mask(), 0b101u);
+  EXPECT_EQ(set.find_free(), 1);
+  set.mark_clean(0);
+  EXPECT_EQ(set.valid_mask(), 0b101u);
+  (void)set.invalidate(2);
+  EXPECT_EQ(set.valid_mask(), 0b1u);
+  EXPECT_EQ(set.valid_count(), 1);
+  EXPECT_EQ(set.find_free(), 1);
 }
 
 TEST(CacheSet, CopyGetsIndependentPolicy) {
@@ -72,6 +89,23 @@ TEST(SetAssocCache, GeometryValidation) {
   EXPECT_THROW(SetAssocCache({0, 2, 64}, ReplacementKind::kLru), ConfigError);
   EXPECT_THROW(SetAssocCache({2, 0, 64}, ReplacementKind::kLru), ConfigError);
   EXPECT_THROW(SetAssocCache({2, 2, 48}, ReplacementKind::kLru), ConfigError);
+}
+
+TEST(SetAssocCache, RejectsMoreWaysThanAMaskHolds) {
+  try {
+    SetAssocCache({2, kMaxWays + 1, 64}, ReplacementKind::kLru);
+    FAIL() << "a 65-way cache was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("64-way limit"), std::string::npos)
+        << e.what();
+  }
+  SetAssocCache widest({2, kMaxWays, 64}, ReplacementKind::kTreePlru);
+  for (LineAddr line = 0; line < 2 * kMaxWays; ++line) {
+    ASSERT_FALSE(widest.fill(line, false).has_value());
+  }
+  const auto victim = widest.fill(2 * kMaxWays, false);
+  ASSERT_TRUE(victim.has_value());
+  EXPECT_EQ(widest.valid_lines(), 2 * kMaxWays);
 }
 
 TEST(SetAssocCache, HitUpdatesStateAndStats) {

@@ -2,6 +2,9 @@
 // sequencer, and the PartitionedLlc request/write-back protocol.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/assert.h"
 #include "llc/llc.h"
 
@@ -111,6 +114,23 @@ TEST(Directory, DuplicateAddAsserts) {
   InclusiveDirectory directory;
   directory.add_sharer(0x1, CoreId{0});
   EXPECT_THROW(directory.add_sharer(0x1, CoreId{0}), AssertionError);
+}
+
+TEST(Directory, SharersAscendAndCoverEveryMaskBit) {
+  InclusiveDirectory directory;
+  for (const int c : {5, 63, 0, 2}) {
+    directory.add_sharer(0x7, CoreId{c});
+  }
+  EXPECT_EQ(directory.sharers(0x7),
+            (std::vector<CoreId>{CoreId{0}, CoreId{2}, CoreId{5}, CoreId{63}}));
+  EXPECT_EQ(directory.sharer_mask(0x7),
+            (CoreMask{1} << 63) | (CoreMask{1} << 5) | 0b101U);
+  EXPECT_TRUE(directory.is_shared_by(0x7, CoreId{63}));
+  EXPECT_FALSE(directory.is_shared_by(0x7, CoreId{64}));
+  EXPECT_THROW(directory.add_sharer(0x7, CoreId{kMaxCores}), AssertionError);
+  EXPECT_THROW(directory.add_sharer(0x7, kNoCore), AssertionError);
+  EXPECT_FALSE(directory.remove_sharer(0x7, CoreId{kMaxCores}));
+  EXPECT_TRUE(directory.sharers(0x8).empty());
 }
 
 // --- SetSequencer ----------------------------------------------------------------
@@ -354,6 +374,35 @@ TEST(PartitionedLlc, DropPendingRequestCleansSequencer) {
   EXPECT_FALSE(h.llc.has_pending_request(CoreId{0}));
   EXPECT_EQ(h.llc.sequencer().active_queues(), 0);
   h.llc.check_invariants();
+}
+
+TEST(PartitionedLlc, InvariantsHoldWithSequencerWaiters) {
+  LlcHarness h(ContentionMode::kSetSequencer, 1, 2, 3);
+  h.llc.preload(0x1, {CoreId{2}}, false);
+  h.llc.preload(0x3, {CoreId{2}}, false);
+  (void)h.llc.handle_request(CoreId{0}, 0x5, 0);
+  (void)h.llc.handle_request(CoreId{1}, 0x7, 50);
+  const SetKey key = h.llc.key_for(CoreId{0}, 0x5);
+  ASSERT_EQ(h.llc.sequencer().queue_length(key), 2);
+  h.llc.check_invariants();
+  h.llc.drop_pending_request(CoreId{0});
+  EXPECT_EQ(h.llc.sequencer().queue_length(key), 1);
+  h.llc.check_invariants();
+}
+
+TEST(PartitionedLlc, RejectsMoreCoresThanTheDirectoryHolds) {
+  LlcConfig config;
+  mem::FixedLatencyBackend dram(mem::DramConfig{});
+  PartitionMap map(config.geometry);
+  map.add_partition(PartitionSpec{0, 1, 0, 1}, {CoreId{0}});
+  try {
+    PartitionedLlc llc(config, std::move(map), ContentionMode::kBestEffort,
+                       kMaxCores + 1, dram);
+    FAIL() << "a 65-core LLC was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("64-core"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PartitionedLlc, RejectsMismatchedPartitionGeometry) {

@@ -1,6 +1,8 @@
 // Tests for SystemConfig validation and the paper's SS/NSS/P notation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/assert.h"
 #include "core/system_config.h"
 
@@ -115,6 +117,27 @@ TEST(SystemConfig, ExplicitScheduleChecked) {
   EXPECT_THROW(config.validate(), ConfigError);
   config.num_cores = 4;
   config.schedule_slots = {CoreId{0}, CoreId{1}};  // covers 2 of 4 cores
+  EXPECT_THROW(config.validate(), ConfigError);
+}
+
+TEST(SystemConfig, CoreAndWayCountsFitTheirMasks) {
+  SystemConfig config;
+  config.num_cores = kMaxCores + 1;
+  try {
+    config.validate();
+    FAIL() << "a 65-core system was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("64-core limit"), std::string::npos)
+        << e.what();
+  }
+  config.num_cores = kMaxCores;
+  EXPECT_NO_THROW(config.validate());
+
+  config.num_cores = 4;
+  config.llc.geometry.num_ways = mem::kMaxWays + 1;
+  EXPECT_THROW(config.validate(), ConfigError);
+  config.llc.geometry.num_ways = 16;
+  config.private_caches.l2.num_ways = mem::kMaxWays + 1;
   EXPECT_THROW(config.validate(), ConfigError);
 }
 
