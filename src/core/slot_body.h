@@ -369,7 +369,8 @@ class SlotBody {
   /// that its arrival frees the LLC entry.
   void deliver_back_invalidation(const llc::BackInvalidation& binval,
                                  Cycle slot_start) {
-    for (CoreId owner : binval.owners) {
+    for (llc::CoreMask m = binval.owners; m != 0; m &= m - 1) {
+      const CoreId owner = llc::lowest_core(m);
       const std::size_t o = at(owner.value);
       const mem::ForcedEviction evicted = caches_[o].force_evict(binval.line);
       if (evicted.was_present) {

@@ -73,10 +73,11 @@ struct LlcConfig {
 };
 
 /// A back-invalidation the system must deliver: every owner evicts `line`
-/// from its private caches and answers with a freeing write-back.
+/// from its private caches and answers with a freeing write-back. Owners
+/// are delivered in ascending core order (lowest mask bit first).
 struct BackInvalidation {
   LineAddr line = 0;
-  std::vector<CoreId> owners;
+  CoreMask owners = 0;
 };
 
 /// Outcome of presenting a request in the owner's slot.
@@ -232,8 +233,9 @@ class BasicPartitionedLlc {
   void preload(LineAddr line, const std::vector<CoreId>& sharers, bool dirty);
 
   /// Model invariant sweep for property tests: pending-ack counts match
-  /// directory state, pending flags only on valid lines, sequencer queues
-  /// only contain cores with pending requests. Throws AssertionError on
+  /// directory state, pending flags only on valid lines, every line the
+  /// directory tracks is resident (inclusion), sequencer queues only
+  /// contain cores with pending requests. Throws AssertionError on
   /// violation.
   void check_invariants() const;
 

@@ -10,6 +10,7 @@
 #error "llc_impl.h must be included via llc/llc.h"
 #endif
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -167,8 +168,8 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
   if (is_write(access)) {
     // Writing a line that other cores privately cache needs a coherence
     // protocol, which the paper's model excludes (tasks are data-disjoint).
-    const int other_sharers = directory_.sharer_count(line) -
-                              (directory_.is_shared_by(line, core) ? 1 : 0);
+    const int other_sharers =
+        std::popcount(directory_.sharer_mask(line) & ~core_bit(core));
     if (other_sharers > 0) {
       ++stats_.shared_write_flags;
       PSLLC_WARN("write by " << to_string(core) << " to line 0x" << std::hex
@@ -202,9 +203,7 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
   if (hit_way >= 0 && !entry_state(pset, hit_way).pending_inval &&
       !entry_state(pset, hit_way).draining) {
     set.touch(hit_way);
-    if (!directory_.is_shared_by(line, core)) {
-      directory_.add_sharer(line, core);
-    }
+    (void)directory_.add_sharer_if_absent(line, core);
     if (pending) {
       complete_pending(core, key);
     }
@@ -291,9 +290,9 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
                 "victim way " << victim << " escapes partition " << pid << " "
                               << spec.to_string());
     const LineAddr victim_line = set.way(victim).line;
-    const std::vector<CoreId> owners = directory_.sharers(victim_line);
+    const CoreMask owners = directory_.sharer_mask(victim_line);
     ++stats_.evictions_started;
-    if (owners.empty()) {
+    if (owners == 0) {
       // No private copies: the entry is reusable within this slot; dirty
       // data drains to DRAM off the critical path.
       if (set.way(victim).dirty()) {
@@ -304,12 +303,12 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
       continue;  // re-check allocation with the freed way
     }
     entry_state(pset, victim).pending_inval = true;
-    entry_state(pset, victim).pending_acks = static_cast<int>(owners.size());
+    entry_state(pset, victim).pending_acks = std::popcount(owners);
     outcome.back_invalidation = BackInvalidation{victim_line, owners};
     PSLLC_TRACE("LLC: evicting 0x" << std::hex << victim_line << std::dec
                                    << " (set " << pset << ", way " << victim
                                    << ") for " << to_string(core)
-                                   << ", owners=" << owners.size());
+                                   << ", owners=" << std::popcount(owners));
     break;
   }
 
@@ -554,8 +553,9 @@ bool BasicPartitionedLlc<Memory>::entry_compatible(int physical_set,
     if (spec.map_set(meta.line) != physical_set) {
       return false;  // placed where the new mapping would not place it
     }
-    for (const CoreId sharer : directory_.sharers(meta.line)) {
-      if (map.partition_of(sharer) != p) {
+    for (CoreMask m = directory_.sharer_mask(meta.line); m != 0;
+         m &= m - 1) {
+      if (map.partition_of(lowest_core(m)) != p) {
         return false;  // privately held by a core outside this partition
       }
     }
@@ -678,8 +678,8 @@ void BasicPartitionedLlc<Memory>::pump_drain(
       continue;  // invalidation in flight (drain-issued or pre-transition)
     }
     const LineAddr line = set.way(w).line;
-    const std::vector<CoreId> owners = directory_.sharers(line);
-    if (owners.empty()) {
+    const CoreMask owners = directory_.sharer_mask(line);
+    if (owners == 0) {
       // No private copies: free within this slot; dirty data drains
       // through the bounded write queue off the critical path.
       free_drained_entry(s, w, slot_start);
@@ -689,19 +689,19 @@ void BasicPartitionedLlc<Memory>::pump_drain(
     // most one outstanding drain write-back at a time, so the drain can
     // never flood a core's pending-writeback buffer.
     bool owners_free = true;
-    for (const CoreId owner : owners) {
+    for (CoreMask m = owners; m != 0; m &= m - 1) {
       owners_free = owners_free &&
                     core_drain_busy_[static_cast<std::size_t>(
-                        owner.value)] == 0;
+                        lowest_core(m).value)] == 0;
     }
     if (!owners_free) {
       continue;
     }
     state.pending_inval = true;
-    state.pending_acks = static_cast<int>(owners.size());
+    state.pending_acks = std::popcount(owners);
     state.drain_issued = true;
-    for (const CoreId owner : owners) {
-      ++core_drain_busy_[static_cast<std::size_t>(owner.value)];
+    for (CoreMask m = owners; m != 0; m &= m - 1) {
+      ++core_drain_busy_[static_cast<std::size_t>(lowest_core(m).value)];
     }
     ++stats_.drain_back_invals;
     out.push_back(BackInvalidation{line, owners});
@@ -772,6 +772,7 @@ bool BasicPartitionedLlc<Memory>::overlaps_transition(Cycle a,
 
 template <typename Memory>
 void BasicPartitionedLlc<Memory>::check_invariants() const {
+  std::vector<LineAddr> resident;
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
     const mem::CacheSet& set = set_at(s);
     for (int w = 0; w < config_.geometry.num_ways; ++w) {
@@ -782,6 +783,7 @@ void BasicPartitionedLlc<Memory>::check_invariants() const {
                          << s << " way " << w);
         continue;
       }
+      resident.push_back(set.way(w).line);
       if (state.pending_inval) {
         PSLLC_ASSERT(state.pending_acks > 0,
                      "pending invalidation without outstanding acks");
@@ -795,6 +797,14 @@ void BasicPartitionedLlc<Memory>::check_invariants() const {
       }
     }
   }
+  // Inclusion: every privately held line is resident in the LLC.
+  std::sort(resident.begin(), resident.end());
+  directory_.for_each_line([&](LineAddr line, CoreMask mask) {
+    PSLLC_ASSERT(std::binary_search(resident.begin(), resident.end(), line),
+                 "directory tracks line 0x" << std::hex << line << " (sharers 0x"
+                                            << mask
+                                            << ") absent from the LLC");
+  });
   // Every sequencer waiter must have a matching pending request. Waiters
   // are queued under (active partition, set) keys — the sequencer is
   // cleared when a transition renumbers partitions — so scanning those keys

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/rng.h"
 #include "llc/llc.h"
 
 namespace psllc::llc {
@@ -105,9 +107,20 @@ TEST(Directory, AddRemoveSharers) {
   EXPECT_TRUE(directory.remove_sharer(0x1, CoreId{0}));
   EXPECT_FALSE(directory.remove_sharer(0x1, CoreId{0}));
   EXPECT_EQ(directory.sharer_count(0x1), 1);
-  directory.clear_line(0x1);
+  EXPECT_TRUE(directory.remove_sharer(0x1, CoreId{2}));
   EXPECT_EQ(directory.sharer_count(0x1), 0);
   EXPECT_EQ(directory.tracked_lines(), 0);
+}
+
+TEST(Directory, AddIfAbsentAddsOnce) {
+  InclusiveDirectory directory;
+  EXPECT_TRUE(directory.add_sharer_if_absent(0x9, CoreId{3}));
+  EXPECT_FALSE(directory.add_sharer_if_absent(0x9, CoreId{3}));
+  EXPECT_TRUE(directory.add_sharer_if_absent(0x9, CoreId{1}));
+  EXPECT_EQ(directory.sharer_mask(0x9), core_bit(CoreId{1}) | core_bit(CoreId{3}));
+  EXPECT_EQ(directory.tracked_lines(), 1);
+  EXPECT_THROW((void)directory.add_sharer_if_absent(0x9, kNoCore),
+               AssertionError);
 }
 
 TEST(Directory, DuplicateAddAsserts) {
@@ -131,6 +144,137 @@ TEST(Directory, SharersAscendAndCoverEveryMaskBit) {
   EXPECT_THROW(directory.add_sharer(0x7, kNoCore), AssertionError);
   EXPECT_FALSE(directory.remove_sharer(0x7, CoreId{kMaxCores}));
   EXPECT_TRUE(directory.sharers(0x8).empty());
+}
+
+// `count` distinct lines from [start, ...) whose home slot at `directory`'s
+// current capacity is `home` (so they form one probe chain).
+std::vector<LineAddr> lines_homed_at(const InclusiveDirectory& directory,
+                                     std::size_t home, LineAddr start,
+                                     int count) {
+  std::vector<LineAddr> lines;
+  for (LineAddr line = start; static_cast<int>(lines.size()) < count; ++line) {
+    if (directory.home_slot(line) == home) {
+      lines.push_back(line);
+    }
+  }
+  return lines;
+}
+
+// Random add / add-if-absent / remove sequences against a hash-map
+// reference: colliding chains at the initial capacity (erases in the middle
+// of a probe chain), growth across several doublings, then colliding chains
+// again at the grown capacity.
+TEST(Directory, MatchesMapReferenceAcrossCollisionsAndGrowth) {
+  InclusiveDirectory directory;
+  std::unordered_map<LineAddr, CoreMask> reference;
+  std::vector<LineAddr> universe;
+  Rng rng(2024);
+
+  auto check_equal = [&] {
+    ASSERT_EQ(directory.tracked_lines(), static_cast<int>(reference.size()));
+    for (const LineAddr line : universe) {
+      const auto it = reference.find(line);
+      ASSERT_EQ(directory.sharer_mask(line),
+                it == reference.end() ? CoreMask{0} : it->second)
+          << "line 0x" << std::hex << line;
+    }
+    int walked = 0;
+    directory.for_each_line([&](LineAddr line, CoreMask mask) {
+      ++walked;
+      const auto it = reference.find(line);
+      ASSERT_TRUE(it != reference.end() && it->second == mask)
+          << "line 0x" << std::hex << line;
+    });
+    ASSERT_EQ(walked, static_cast<int>(reference.size()));
+  };
+  // `ops` random operations over `pool`, with cores below `cores`.
+  auto churn = [&](const std::vector<LineAddr>& pool, int ops, int cores) {
+    for (int i = 0; i < ops; ++i) {
+      const LineAddr line = pool[rng.next_below(pool.size())];
+      const CoreId core{static_cast<int>(rng.next_below(
+          static_cast<std::uint64_t>(cores)))};
+      const CoreMask bit = core_bit(core);
+      const CoreMask before = reference.count(line) ? reference[line] : 0;
+      switch (rng.next_below(3)) {
+        case 0:
+          if ((before & bit) == 0) {
+            directory.add_sharer(line, core);
+            reference[line] = before | bit;
+          }
+          break;
+        case 1:
+          ASSERT_EQ(directory.add_sharer_if_absent(line, core),
+                    (before & bit) == 0);
+          reference[line] = before | bit;
+          break;
+        default:
+          ASSERT_EQ(directory.remove_sharer(line, core), (before & bit) != 0);
+          if ((before & ~bit) == 0) {
+            reference.erase(line);
+          } else {
+            reference[line] = before & ~bit;
+          }
+          break;
+      }
+    }
+  };
+  auto colliding_pool = [&](LineAddr start) {
+    // Two interleaved chains: lines homed at h and at h + 1 compete for the
+    // same run of slots, so backward shifts must respect each home.
+    const std::size_t h = directory.home_slot(start);
+    std::vector<LineAddr> pool = lines_homed_at(directory, h, start, 8);
+    for (const LineAddr line : lines_homed_at(
+             directory, (h + 1) % directory.capacity(), start, 6)) {
+      pool.push_back(line);
+    }
+    universe.insert(universe.end(), pool.begin(), pool.end());
+    return pool;
+  };
+
+  const std::size_t initial_capacity = directory.capacity();
+  const std::vector<LineAddr> chain = colliding_pool(0x1000);
+  for (int round = 0; round < 40; ++round) {
+    churn(chain, 25, 3);
+    check_equal();
+  }
+  EXPECT_EQ(directory.capacity(), initial_capacity)
+      << "14 lines must fit without growth";
+
+  std::vector<LineAddr> wide;
+  for (int i = 0; i < 3000; ++i) {
+    wide.push_back(0x100000 + rng.next_below(1 << 20));
+  }
+  universe.insert(universe.end(), wide.begin(), wide.end());
+  for (int round = 0; round < 30; ++round) {
+    churn(wide, 400, 8);
+    check_equal();
+  }
+  EXPECT_GE(directory.capacity(), 8 * initial_capacity);
+  EXPECT_LE(2 * static_cast<std::size_t>(directory.tracked_lines()),
+            directory.capacity());
+
+  const std::vector<LineAddr> grown_chain = colliding_pool(0x7000000);
+  for (int round = 0; round < 40; ++round) {
+    churn(grown_chain, 25, kMaxCores);
+    check_equal();
+  }
+
+  // Drain everything: each remove reports presence exactly as the map does.
+  for (const LineAddr line : universe) {
+    for (int c = 0; c < kMaxCores; ++c) {
+      const CoreMask before = reference.count(line) ? reference[line] : 0;
+      ASSERT_EQ(directory.remove_sharer(line, CoreId{c}),
+                (before & core_bit(CoreId{c})) != 0);
+      if (before != 0) {
+        reference[line] = before & ~core_bit(CoreId{c});
+        if (reference[line] == 0) {
+          reference.erase(line);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(directory.tracked_lines(), 0);
+  check_equal();
 }
 
 // --- SetSequencer ----------------------------------------------------------------
@@ -244,8 +388,7 @@ TEST(PartitionedLlc, FullSetWithOwnedVictimBlocksAndBackInvalidates) {
   EXPECT_EQ(blocked.status, RequestOutcome::Status::kBlocked);
   ASSERT_TRUE(blocked.back_invalidation.has_value());
   EXPECT_EQ(blocked.back_invalidation->line, 0x1u);  // LRU victim
-  ASSERT_EQ(blocked.back_invalidation->owners.size(), 1u);
-  EXPECT_EQ(blocked.back_invalidation->owners[0], CoreId{1});
+  EXPECT_EQ(blocked.back_invalidation->owners, core_bit(CoreId{1}));
   EXPECT_TRUE(h.llc.has_pending_request(CoreId{0}));
   // Retry before the write-back: still blocked, no *new* eviction (supply
   // covers demand).
@@ -324,11 +467,20 @@ TEST(PartitionedLlc, VoluntaryWritebackMergesDirtyData) {
 
 TEST(PartitionedLlc, MultiSharerBackInvalidationNeedsAllAcks) {
   LlcHarness h(ContentionMode::kBestEffort, 1, 2, 3);
-  h.llc.preload(0x1, {CoreId{1}, CoreId{2}}, false);
+  h.llc.preload(0x1, {CoreId{2}, CoreId{1}}, false);
   h.llc.preload(0x3, {CoreId{1}}, false);
   const auto blocked = h.llc.handle_request(CoreId{0}, 0x5, 0);
   ASSERT_TRUE(blocked.back_invalidation.has_value());
-  EXPECT_EQ(blocked.back_invalidation->owners.size(), 2u);
+  const CoreMask owners = blocked.back_invalidation->owners;
+  EXPECT_EQ(owners, core_bit(CoreId{1}) | core_bit(CoreId{2}));
+  // Owners are delivered lowest bit first: ascending core order, whatever
+  // order the sharers were recorded in.
+  std::vector<CoreId> delivered;
+  for (CoreMask m = owners; m != 0; m &= m - 1) {
+    delivered.push_back(lowest_core(m));
+  }
+  EXPECT_EQ(delivered, (std::vector<CoreId>{CoreId{1}, CoreId{2}}));
+  EXPECT_EQ(delivered, h.llc.directory().sharers(0x1));
   EXPECT_FALSE(
       h.llc.handle_writeback(CoreId{1}, 0x1, false, true, 50).freed_entry);
   EXPECT_TRUE(

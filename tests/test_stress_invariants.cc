@@ -1,7 +1,7 @@
 // Long-run stress tests: heavy random traffic across a grid of
 // configurations with the LLC invariant sweep executed every period —
-// directory/ack consistency, inclusion, and buffer bounds must hold at all
-// times, not just at the end.
+// directory/ack consistency, inclusion (private L2 -> directory -> LLC),
+// and buffer bounds must hold at all times, not just at the end.
 #include <gtest/gtest.h>
 
 #include "core/system.h"
@@ -35,6 +35,13 @@ TEST_P(StressInvariants, HoldEveryPeriod) {
     system.llc().check_invariants();
     for (int c = 0; c < param.cores; ++c) {
       ASSERT_TRUE(system.caches(CoreId{c}).check_inclusion());
+      // Every privately cached line is recorded as this core's in the
+      // directory (which check_invariants in turn ties to the LLC).
+      for (LineAddr line : system.caches(CoreId{c}).l2().resident_lines()) {
+        ASSERT_TRUE(system.llc().directory().is_shared_by(line, CoreId{c}))
+            << "c" << c << " holds line 0x" << std::hex << line
+            << " without a directory bit";
+      }
     }
   });
   sim::RandomWorkloadOptions workload;
