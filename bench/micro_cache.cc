@@ -1,36 +1,66 @@
-// Google-benchmark microbenchmarks for the hot data structures: cache
-// lookup/fill, replacement victim selection, and the set sequencer.
+// Google-benchmark microbenchmarks for the hot data structures: the private
+// hierarchy's L1 hit, L2 hit and miss+fill paths, replacement victim
+// selection, and the set sequencer.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "llc/set_sequencer.h"
+#include "mem/private_cache.h"
 #include "mem/replacement.h"
-#include "mem/set_assoc_cache.h"
 
 namespace {
 
 using namespace psllc;  // NOLINT
 
-void BM_CacheAccessHit(benchmark::State& state) {
-  mem::SetAssocCache cache({32, 16, 64}, mem::ReplacementKind::kLru);
-  for (LineAddr line = 0; line < 32 * 16; ++line) {
-    cache.fill(line, false);
+// The paper's private hierarchy: L1D 4 sets x 4 ways, L2 16 sets x 4 ways.
+mem::PrivateCacheHierarchy paper_caches() {
+  return mem::PrivateCacheHierarchy(mem::PrivateCacheConfig{}, 1);
+}
+
+void warm(mem::PrivateCacheHierarchy& caches, LineAddr lines) {
+  for (LineAddr line = 0; line < lines; ++line) {
+    if (caches.access(line * 64, AccessType::kRead) == mem::HitLevel::kMiss) {
+      (void)caches.fill(line * 64, AccessType::kRead, false);
+    }
   }
+}
+
+void BM_PrivateL1Hit(benchmark::State& state) {
+  mem::PrivateCacheHierarchy caches = paper_caches();
+  const auto lines = static_cast<LineAddr>(caches.config().l1d.capacity_lines());
+  warm(caches, lines);
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.access(rng.next_below(32 * 16), false));
+    benchmark::DoNotOptimize(
+        caches.access(rng.next_below(lines) * 64, AccessType::kRead));
   }
 }
-BENCHMARK(BM_CacheAccessHit);
+BENCHMARK(BM_PrivateL1Hit);
 
-void BM_CacheFillEvict(benchmark::State& state) {
-  mem::SetAssocCache cache({32, 16, 64}, mem::ReplacementKind::kLru);
+void BM_PrivateL2Hit(benchmark::State& state) {
+  // A cyclic sweep over the L2's capacity: LRU keeps every line in L2, and
+  // each L1D set sees four times its ways, so every access misses L1.
+  mem::PrivateCacheHierarchy caches = paper_caches();
+  const auto lines = static_cast<LineAddr>(caches.capacity_lines());
+  warm(caches, lines);
   LineAddr line = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.fill(line++, false));
+    benchmark::DoNotOptimize(caches.access(line * 64, AccessType::kRead));
+    line = line + 1 == lines ? 0 : line + 1;
   }
 }
-BENCHMARK(BM_CacheFillEvict);
+BENCHMARK(BM_PrivateL2Hit);
+
+void BM_PrivateMissFill(benchmark::State& state) {
+  mem::PrivateCacheHierarchy caches = paper_caches();
+  LineAddr line = 0;
+  for (auto _ : state) {
+    const Addr addr = line++ * 64;
+    benchmark::DoNotOptimize(caches.access(addr, AccessType::kWrite));
+    benchmark::DoNotOptimize(caches.fill(addr, AccessType::kWrite, true));
+  }
+}
+BENCHMARK(BM_PrivateMissFill);
 
 void BM_VictimSelection(benchmark::State& state) {
   const auto kind = static_cast<mem::ReplacementKind>(state.range(0));

@@ -17,13 +17,6 @@ const char* to_string(LogLevel level) {
   return "?";
 }
 
-Logger& Logger::instance() {
-  static Logger logger;
-  return logger;
-}
-
-Logger::Logger() = default;
-
 Logger::Sink Logger::set_sink(Sink sink) {
   Sink previous = std::move(sink_);
   sink_ = std::move(sink);

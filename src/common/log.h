@@ -29,7 +29,12 @@ class Logger {
  public:
   using Sink = std::function<void(LogLevel, const std::string&)>;
 
-  static Logger& instance();
+  /// Defined (and forced) inline so a disabled PSLLC_LOG costs a guard and
+  /// a level check, not a call.
+  [[gnu::always_inline]] static Logger& instance() {
+    static Logger logger;
+    return logger;
+  }
 
   void set_level(LogLevel level) { level_ = level; }
   [[nodiscard]] LogLevel level() const { return level_; }
@@ -42,7 +47,7 @@ class Logger {
   void write(LogLevel level, const std::string& message);
 
  private:
-  Logger();
+  Logger() = default;
   LogLevel level_ = LogLevel::kWarn;
   Sink sink_;
 };

@@ -1,8 +1,47 @@
 #include "mem/private_cache.h"
 
+#include <bit>
+
 #include "common/rng.h"
 
 namespace psllc::mem {
+
+CacheLevel::CacheLevel(const CacheGeometry& geometry,
+                       ReplacementKind replacement, std::uint64_t seed)
+    : geometry_(geometry) {
+  geometry_.validate();
+  num_sets_ = static_cast<std::uint64_t>(geometry_.num_sets);
+  set_mask_ = num_sets_ - 1;
+  pow2_sets_ = std::has_single_bit(num_sets_);
+  all_ways_ = way_range(0, geometry_.num_ways);
+  tags_.assign(static_cast<std::size_t>(geometry_.capacity_lines()), 0);
+  sets_.reserve(static_cast<std::size_t>(geometry_.num_sets));
+  for (int s = 0; s < geometry_.num_sets; ++s) {
+    sets_.push_back(
+        {0, 0,
+         ReplacementPolicy(replacement, geometry_.num_ways,
+                           mix_seed(seed, static_cast<std::uint64_t>(s)))});
+  }
+}
+
+int CacheLevel::valid_lines() const {
+  int count = 0;
+  for (const SetState& s : sets_) {
+    count += std::popcount(s.valid);
+  }
+  return count;
+}
+
+std::vector<LineAddr> CacheLevel::resident_lines() const {
+  std::vector<LineAddr> lines;
+  for (int set = 0; set < geometry_.num_sets; ++set) {
+    for (WayMask m = state(set).valid; m != 0; m &= m - 1) {
+      lines.push_back(tags_[base(set) + static_cast<std::size_t>(
+                                            lowest_way(m))]);
+    }
+  }
+  return lines;
+}
 
 void PrivateCacheConfig::validate() const {
   l1i.validate();
@@ -31,33 +70,37 @@ PrivateCacheHierarchy::PrivateCacheHierarchy(const PrivateCacheConfig& config,
 
 HitLevel PrivateCacheHierarchy::access(Addr addr, AccessType type) {
   const LineAddr line = config_.l2.line_of(addr);
-  SetAssocCache& l1 = l1_for(type);
-  if (l1.access(line, is_write(type))) {
+  const bool write = is_write(type);
+  CacheLevel& l1 = l1_for(type);
+  const int l1_set = l1.set_of(line);
+  const int l1_way = l1.find(l1_set, line);
+  if (l1_way >= 0) {
+    l1.touch(l1_set, l1_way, write);
     ++l1_hits_;
     return HitLevel::kL1;
   }
-  const int l2_way = [&] {
-    // access() updates hit/miss counters and recency internally.
-    return l2_.access(line, /*write=*/false) ? 1 : -1;
-  }();
+  const int l2_set = l2_.set_of(line);
+  const int l2_way = l2_.find(l2_set, line);
   if (l2_way < 0) {
     ++misses_;
     return HitLevel::kMiss;
   }
+  l2_.touch(l2_set, l2_way, /*write=*/false);
   ++l2_hits_;
   // Promote into L1; the L1 copy carries the store's dirtiness.
-  fill_l1(l1, line, is_write(type));
+  install_l1(l1, l1_set, line, write);
   return HitLevel::kL2;
 }
 
 std::optional<Evicted> PrivateCacheHierarchy::fill(Addr addr, AccessType type,
                                                    bool write) {
   const LineAddr line = config_.l2.line_of(addr);
-  PSLLC_ASSERT(!l2_.contains(line),
+  const int l2_set = l2_.set_of(line);
+  PSLLC_ASSERT(l2_.find(l2_set, line) < 0,
                "fill for line 0x" << std::hex << line
                                   << " already resident in L2");
   // 1. Install in L2 (clean: dirtiness lives in the L1 copy until eviction).
-  std::optional<Evicted> l2_victim = l2_.fill(line, /*dirty=*/false);
+  std::optional<Evicted> l2_victim = l2_.install(l2_set, line, false);
   if (l2_victim) {
     // Inclusion: purge the victim from both L1s and merge dirtiness.
     if (auto v = l1i_.remove(l2_victim->line)) {
@@ -66,31 +109,33 @@ std::optional<Evicted> PrivateCacheHierarchy::fill(Addr addr, AccessType type,
     if (auto v = l1d_.remove(l2_victim->line)) {
       l2_victim->dirty = l2_victim->dirty || v->dirty;
     }
+    PSLLC_AUDIT(!l1i_.contains(l2_victim->line) &&
+                    !l1d_.contains(l2_victim->line),
+                "L2 victim 0x" << std::hex << l2_victim->line
+                               << " still resident in an L1");
   }
   // 2. Install in the requesting L1.
-  fill_l1(l1_for(type), line, write);
+  CacheLevel& l1 = l1_for(type);
+  const int l1_set = l1.set_of(line);
+  PSLLC_ASSERT(l1.find(l1_set, line) < 0,
+               "fill of already-present L1 line 0x" << std::hex << line);
+  install_l1(l1, l1_set, line, write);
   return l2_victim;
 }
 
 ForcedEviction PrivateCacheHierarchy::force_evict(LineAddr line) {
   ForcedEviction result;
-  if (auto v = l1i_.remove(line)) {
-    result.was_present = true;
-    result.was_dirty = result.was_dirty || v->dirty;
+  for (CacheLevel* level : {&l1i_, &l1d_, &l2_}) {
+    if (auto v = level->remove(line)) {
+      result.was_present = true;
+      result.was_dirty = result.was_dirty || v->dirty;
+    }
   }
-  if (auto v = l1d_.remove(line)) {
-    result.was_present = true;
-    result.was_dirty = result.was_dirty || v->dirty;
-  }
-  if (auto v = l2_.remove(line)) {
-    result.was_present = true;
-    result.was_dirty = result.was_dirty || v->dirty;
-  }
+  PSLLC_AUDIT(!l1i_.contains(line) && !l1d_.contains(line) &&
+                  !l2_.contains(line),
+              "forced eviction left line 0x" << std::hex << line
+                                             << " resident");
   return result;
-}
-
-bool PrivateCacheHierarchy::holds(LineAddr line) const {
-  return l2_.contains(line);
 }
 
 bool PrivateCacheHierarchy::holds_dirty(LineAddr line) const {
@@ -98,37 +143,39 @@ bool PrivateCacheHierarchy::holds_dirty(LineAddr line) const {
 }
 
 void PrivateCacheHierarchy::preload(LineAddr line, bool dirty) {
-  PSLLC_ASSERT(!l2_.contains(line), "preload of resident line");
-  const std::optional<Evicted> victim = l2_.fill(line, dirty);
-  PSLLC_ASSERT(!victim.has_value(),
-               "preload evicted a line — target L2 set is full");
+  const int set = l2_.set_of(line);
+  PSLLC_ASSERT(l2_.find(set, line) < 0, "preload of resident line");
+  PSLLC_ASSERT(l2_.has_free_way(set),
+               "preload would evict a line — target L2 set is full");
+  (void)l2_.install(set, line, dirty);
 }
 
 bool PrivateCacheHierarchy::check_inclusion() const {
-  for (LineAddr line : l1i_.resident_lines()) {
-    if (!l2_.contains(line)) {
-      return false;
-    }
-  }
-  for (LineAddr line : l1d_.resident_lines()) {
-    if (!l2_.contains(line)) {
-      return false;
+  for (const CacheLevel* l1 : {&l1i_, &l1d_}) {
+    for (LineAddr line : l1->resident_lines()) {
+      if (!l2_.contains(line)) {
+        return false;
+      }
     }
   }
   return true;
 }
 
-void PrivateCacheHierarchy::fill_l1(SetAssocCache& l1, LineAddr line,
-                                    bool dirty) {
-  const std::optional<Evicted> l1_victim = l1.fill(line, dirty);
+void PrivateCacheHierarchy::install_l1(CacheLevel& l1, int set, LineAddr line,
+                                       bool dirty) {
+  const std::optional<Evicted> l1_victim = l1.install(set, line, dirty);
   if (l1_victim && l1_victim->dirty) {
     // Inclusive L2 must hold the victim; absorb its dirtiness locally (no
     // bus traffic: L1<->L2 transfers are core-private).
-    PSLLC_ASSERT(l2_.contains(l1_victim->line),
-                 "inclusion violated: L1 victim 0x" << std::hex
-                                                    << l1_victim->line
-                                                    << " absent from L2");
-    l2_.access(l1_victim->line, /*write=*/true);
+    const int l2_set = l2_.set_of(l1_victim->line);
+    const int l2_way = l2_.find(l2_set, l1_victim->line);
+    PSLLC_ASSERT(l2_way >= 0, "inclusion violated: L1 victim 0x"
+                                  << std::hex << l1_victim->line
+                                  << " absent from L2");
+    // Modelled behaviour: the merge is an L2 write hit, so besides marking
+    // the L2 copy dirty it refreshes the line's L2 recency. Victim choices,
+    // and with them every digest and golden, depend on this touch.
+    l2_.touch(l2_set, l2_way, /*write=*/true);
   }
 }
 

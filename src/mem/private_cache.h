@@ -5,6 +5,14 @@
 // L2 (enforced by the system model in src/core). An eviction at any level
 // therefore back-invalidates all upper levels; a dirty upper-level copy
 // merges its dirtiness downward.
+//
+// Each level is one flat tag store (`CacheLevel`): a `sets x ways` tag
+// array plus one record per set holding its valid and dirty way masks and
+// its replacement state. An access computes each level's set index once and
+// probes each level at most once; an L2 hit installs into L1 at the set the
+// L1 probe already found. (The partitioned LLC in src/llc builds on
+// CacheSet instead, because partitions restrict both the set range and the
+// way range.)
 #ifndef PSLLC_MEM_PRIVATE_CACHE_H_
 #define PSLLC_MEM_PRIVATE_CACHE_H_
 
@@ -13,9 +21,143 @@
 #include <vector>
 
 #include "common/types.h"
-#include "mem/set_assoc_cache.h"
+#include "mem/cache_types.h"
+#include "mem/replacement.h"
 
 namespace psllc::mem {
+
+/// A line evicted from a cache (capacity replacement or invalidation).
+struct Evicted {
+  LineAddr line = 0;
+  bool dirty = false;
+};
+
+/// One set-associative level of the private hierarchy. Callers compute the
+/// set index once with set_of() and pass it to the per-set members.
+class CacheLevel {
+ public:
+  /// Throws ConfigError when `geometry` is not realizable. Set `s` seeds its
+  /// replacement stream with mix_seed(seed, s).
+  CacheLevel(const CacheGeometry& geometry, ReplacementKind replacement,
+             std::uint64_t seed);
+
+  /// Set index of `line` (modulo mapping; a mask for power-of-two counts).
+  [[nodiscard]] int set_of(LineAddr line) const {
+    return static_cast<int>(pow2_sets_ ? line & set_mask_ : line % num_sets_);
+  }
+
+  /// Way of `set` holding `line`, or -1. Compares every way's tag without
+  /// branching and masks the result with the valid ways: with the small
+  /// private way counts this beats an early-exit scan, whose exit branch
+  /// mispredicts on most probes.
+  [[nodiscard]] int find(int set, LineAddr line) const {
+    const LineAddr* tags = tags_.data() + base(set);
+    WayMask hits = 0;
+    for (int w = 0; w < geometry_.num_ways; ++w) {
+      hits |= WayMask{tags[w] == line} << w;
+    }
+    hits &= state(set).valid;
+    return hits != 0 ? lowest_way(hits) : -1;
+  }
+
+  [[nodiscard]] bool contains(LineAddr line) const {
+    return find(set_of(line), line) >= 0;
+  }
+
+  /// True if `line` is present and dirty.
+  [[nodiscard]] bool is_dirty(LineAddr line) const {
+    const int set = set_of(line);
+    const int way = find(set, line);
+    return way >= 0 && (state(set).dirty & way_bit(way)) != 0;
+  }
+
+  /// A hit on valid `way` of `set`: updates recency, and dirtiness when
+  /// `write`.
+  [[gnu::always_inline]] void touch(int set, int way, bool write) {
+    SetState& s = state(set);
+    s.policy.on_access(way);
+    if (write) {
+      s.dirty |= way_bit(way);
+    }
+  }
+
+  /// Installs `line`, which must be absent from `set`, into the lowest free
+  /// way, or else over the policy's victim, which is returned.
+  [[gnu::always_inline]] std::optional<Evicted> install(int set, LineAddr line,
+                                                        bool dirty) {
+    SetState& s = state(set);
+    LineAddr* tags = tags_.data() + base(set);
+    std::optional<Evicted> victim;
+    const WayMask free = ~s.valid & all_ways_;
+    int way = 0;
+    if (free != 0) {
+      way = lowest_way(free);
+    } else {
+      way = s.policy.select_victim(s.valid);
+      PSLLC_ASSERT(way >= 0, "full set must yield a victim");
+      victim = Evicted{tags[way], (s.dirty & way_bit(way)) != 0};
+      s.policy.on_invalidate(way);
+    }
+    tags[way] = line;
+    s.valid |= way_bit(way);
+    s.dirty = dirty ? s.dirty | way_bit(way) : s.dirty & ~way_bit(way);
+    s.policy.on_insert(way);
+    return victim;
+  }
+
+  /// Removes `line` if present and returns it with its dirtiness.
+  std::optional<Evicted> remove(LineAddr line) {
+    const int set = set_of(line);
+    const int way = find(set, line);
+    if (way < 0) {
+      return std::nullopt;
+    }
+    SetState& s = state(set);
+    const Evicted old{line, (s.dirty & way_bit(way)) != 0};
+    s.valid &= ~way_bit(way);
+    s.dirty &= ~way_bit(way);
+    s.policy.on_invalidate(way);
+    return old;
+  }
+
+  /// True if `set` has an invalid way.
+  [[nodiscard]] bool has_free_way(int set) const {
+    return state(set).valid != all_ways_;
+  }
+
+  /// Number of valid lines across all sets.
+  [[nodiscard]] int valid_lines() const;
+
+  /// All valid line addresses, set by set, ways ascending.
+  [[nodiscard]] std::vector<LineAddr> resident_lines() const;
+
+ private:
+  /// Valid and dirty ways plus replacement state of one set.
+  struct SetState {
+    WayMask valid = 0;
+    WayMask dirty = 0;
+    ReplacementPolicy policy;
+  };
+
+  [[nodiscard]] std::size_t base(int set) const {
+    return static_cast<std::size_t>(set) *
+           static_cast<std::size_t>(geometry_.num_ways);
+  }
+  [[nodiscard]] SetState& state(int set) {
+    return sets_[static_cast<std::size_t>(set)];
+  }
+  [[nodiscard]] const SetState& state(int set) const {
+    return sets_[static_cast<std::size_t>(set)];
+  }
+
+  CacheGeometry geometry_;
+  std::uint64_t num_sets_ = 1;
+  std::uint64_t set_mask_ = 0;  ///< num_sets - 1
+  bool pow2_sets_ = true;       ///< set_of may mask instead of divide
+  WayMask all_ways_ = 0;
+  std::vector<LineAddr> tags_;  ///< sets x ways; a tag counts only when valid
+  std::vector<SetState> sets_;
+};
 
 /// Geometry + latency of one core's private hierarchy.
 struct PrivateCacheConfig {
@@ -72,7 +214,7 @@ class PrivateCacheHierarchy {
   ForcedEviction force_evict(LineAddr line);
 
   /// True if `line` is resident in L2 (by inclusion, covers the L1s).
-  [[nodiscard]] bool holds(LineAddr line) const;
+  [[nodiscard]] bool holds(LineAddr line) const { return l2_.contains(line); }
 
   /// True if any private copy of `line` is dirty.
   [[nodiscard]] bool holds_dirty(LineAddr line) const;
@@ -91,9 +233,9 @@ class PrivateCacheHierarchy {
   /// Returns true when it holds; used by property tests.
   [[nodiscard]] bool check_inclusion() const;
 
-  [[nodiscard]] const SetAssocCache& l1i() const { return l1i_; }
-  [[nodiscard]] const SetAssocCache& l1d() const { return l1d_; }
-  [[nodiscard]] const SetAssocCache& l2() const { return l2_; }
+  [[nodiscard]] const CacheLevel& l1i() const { return l1i_; }
+  [[nodiscard]] const CacheLevel& l1d() const { return l1d_; }
+  [[nodiscard]] const CacheLevel& l2() const { return l2_; }
 
   // --- statistics ---
   [[nodiscard]] std::int64_t l1_hits() const { return l1_hits_; }
@@ -101,17 +243,18 @@ class PrivateCacheHierarchy {
   [[nodiscard]] std::int64_t misses() const { return misses_; }
 
  private:
-  SetAssocCache& l1_for(AccessType type) {
+  CacheLevel& l1_for(AccessType type) {
     return type == AccessType::kIfetch ? l1i_ : l1d_;
   }
 
-  /// Fills `line` into the given L1, merging any dirty L1 victim into L2.
-  void fill_l1(SetAssocCache& l1, LineAddr line, bool dirty);
+  /// Installs `line` (absent) into `set` of the given L1, merging a dirty
+  /// L1 victim into L2.
+  void install_l1(CacheLevel& l1, int set, LineAddr line, bool dirty);
 
   PrivateCacheConfig config_;
-  SetAssocCache l1i_;
-  SetAssocCache l1d_;
-  SetAssocCache l2_;
+  CacheLevel l1i_;
+  CacheLevel l1d_;
+  CacheLevel l2_;
   std::int64_t l1_hits_ = 0;
   std::int64_t l2_hits_ = 0;
   std::int64_t misses_ = 0;

@@ -9,17 +9,21 @@
 //
 // All five kinds share one value type: a cache set holds its policy by
 // value, copies it with the set, and every call is a switch that inlines
-// into the set. LRU and FIFO keep one stamp per way instead of an ordered
-// way list. A touch moves a way to one end of the order by giving it a
-// stamp above (or below) every other, and the victim is the eligible way
-// with the lowest stamp — exactly the way a scan of the ordered list from
-// its victim end would reach first, so victim choices match the list form.
+// into the set. The inlining is forced: the message code of the range
+// checks otherwise leads GCC to emit out-of-line calls on every private
+// and LLC access. The state is inline too (no heap), so a cache level's
+// per-set policies form one contiguous block. LRU and FIFO keep one stamp
+// per way instead of an ordered way list. A touch moves a way to one end
+// of the order by giving it a stamp above (or below) every other, and the
+// victim is the eligible way with the lowest stamp — exactly the way a
+// scan of the ordered list from its victim end would reach first, so
+// victim choices match the list form.
 #ifndef PSLLC_MEM_REPLACEMENT_H_
 #define PSLLC_MEM_REPLACEMENT_H_
 
+#include <array>
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
 #include "mem/cache_types.h"
@@ -37,7 +41,6 @@ class ReplacementPolicy {
                  "policy needs 1.." << kMaxWays << " ways, got " << ways);
     if (kind == ReplacementKind::kLru || kind == ReplacementKind::kFifo) {
       // LRU starts with way 0 most recent, FIFO with way 0 oldest.
-      stamps_.resize(static_cast<std::size_t>(ways));
       for (int w = 0; w < ways; ++w) {
         stamps_[static_cast<std::size_t>(w)] =
             kind == ReplacementKind::kLru ? ways - 1 - w : w;
@@ -52,7 +55,7 @@ class ReplacementPolicy {
   [[nodiscard]] int ways() const { return ways_; }
 
   /// A line was inserted into `way` (fill).
-  void on_insert(int way) {
+  [[gnu::always_inline]] void on_insert(int way) {
     check_way(way);
     switch (kind_) {
       case ReplacementKind::kLru:
@@ -64,7 +67,7 @@ class ReplacementPolicy {
   }
 
   /// A hit touched `way`. FIFO and Random ignore hits.
-  void on_access(int way) {
+  [[gnu::always_inline]] void on_access(int way) {
     check_way(way);
     switch (kind_) {
       case ReplacementKind::kLru: make_newest(way); break;
@@ -77,7 +80,7 @@ class ReplacementPolicy {
 
   /// `way` was invalidated. LRU and FIFO make it the next victim so a
   /// freed way is reused first.
-  void on_invalidate(int way) {
+  [[gnu::always_inline]] void on_invalidate(int way) {
     check_way(way);
     switch (kind_) {
       case ReplacementKind::kLru:
@@ -95,7 +98,7 @@ class ReplacementPolicy {
   /// Chooses a victim among the ways set in `eligible`; returns -1 when
   /// none is. Random and NMRU draw from their stream only when there is a
   /// choice to make.
-  [[nodiscard]] int select_victim(WayMask eligible) {
+  [[nodiscard, gnu::always_inline]] int select_victim(WayMask eligible) {
     PSLLC_ASSERT((eligible & ~way_range(0, ways_)) == 0,
                  "eligibility mask names a way beyond " << ways_);
     if (eligible == 0) {
@@ -132,7 +135,7 @@ class ReplacementPolicy {
   }
 
  private:
-  void check_way(int way) const {
+  [[gnu::always_inline]] void check_way(int way) const {
     PSLLC_ASSERT(way >= 0 && way < ways_,
                  "way " << way << " out of range [0," << ways_ << ")");
   }
@@ -184,7 +187,7 @@ class ReplacementPolicy {
   std::int64_t oldest_ = 0;    ///< LRU/FIFO: lowest stamp handed out
   WayMask plru_bits_ = 0;      ///< Tree-PLRU node bits
   Rng rng_;                    ///< Random/NMRU victim stream
-  std::vector<std::int64_t> stamps_;  ///< LRU/FIFO: per-way order stamp
+  std::array<std::int64_t, kMaxWays> stamps_{};  ///< LRU/FIFO: order stamp
 };
 
 }  // namespace psllc::mem

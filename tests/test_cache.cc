@@ -1,12 +1,14 @@
-// Tests for cache_set and set_assoc_cache: lookup, fill/evict, dirtiness,
-// and geometry validation.
+// Tests for CacheSet and the private hierarchy's CacheLevel: lookup,
+// fill/evict, dirtiness, set mapping and geometry validation.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/assert.h"
 #include "mem/cache_set.h"
-#include "mem/set_assoc_cache.h"
+#include "mem/private_cache.h"
 
 namespace psllc::mem {
 namespace {
@@ -83,96 +85,120 @@ TEST(CacheSet, CopyGetsIndependentPolicy) {
   EXPECT_EQ(b.select_victim_any(), 0);
 }
 
-// --- SetAssocCache --------------------------------------------------------------
+// --- CacheLevel (one private-hierarchy level) ------------------------------
 
-TEST(SetAssocCache, GeometryValidation) {
-  EXPECT_THROW(SetAssocCache({0, 2, 64}, ReplacementKind::kLru), ConfigError);
-  EXPECT_THROW(SetAssocCache({2, 0, 64}, ReplacementKind::kLru), ConfigError);
-  EXPECT_THROW(SetAssocCache({2, 2, 48}, ReplacementKind::kLru), ConfigError);
+CacheLevel make_level(const CacheGeometry& geometry) {
+  return CacheLevel(geometry, ReplacementKind::kLru, 0);
 }
 
-TEST(SetAssocCache, RejectsMoreWaysThanAMaskHolds) {
+std::optional<Evicted> fill(CacheLevel& level, LineAddr line, bool dirty) {
+  return level.install(level.set_of(line), line, dirty);
+}
+
+TEST(CacheLevel, GeometryValidation) {
+  EXPECT_THROW(make_level({0, 2, 64}), ConfigError);
+  EXPECT_THROW(make_level({2, 0, 64}), ConfigError);
+  EXPECT_THROW(make_level({2, 2, 48}), ConfigError);
+}
+
+TEST(CacheLevel, RejectsMoreWaysThanAMaskHolds) {
   try {
-    SetAssocCache({2, kMaxWays + 1, 64}, ReplacementKind::kLru);
+    make_level({2, kMaxWays + 1, 64});
     FAIL() << "a 65-way cache was accepted";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("64-way limit"), std::string::npos)
         << e.what();
   }
-  SetAssocCache widest({2, kMaxWays, 64}, ReplacementKind::kTreePlru);
+  CacheLevel widest({2, kMaxWays, 64}, ReplacementKind::kTreePlru, 0);
   for (LineAddr line = 0; line < 2 * kMaxWays; ++line) {
-    ASSERT_FALSE(widest.fill(line, false).has_value());
+    ASSERT_FALSE(fill(widest, line, false).has_value());
   }
-  const auto victim = widest.fill(2 * kMaxWays, false);
+  const auto victim = fill(widest, 2 * kMaxWays, false);
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(widest.valid_lines(), 2 * kMaxWays);
 }
 
-TEST(SetAssocCache, HitUpdatesStateAndStats) {
-  SetAssocCache cache({4, 2, 64}, ReplacementKind::kLru);
-  EXPECT_FALSE(cache.access(0x10, false));
-  cache.fill(0x10, false);
-  EXPECT_TRUE(cache.access(0x10, false));
-  EXPECT_FALSE(cache.is_dirty(0x10));
-  EXPECT_TRUE(cache.access(0x10, true));
-  EXPECT_TRUE(cache.is_dirty(0x10));
-  EXPECT_EQ(cache.hits(), 2);
-  EXPECT_EQ(cache.misses(), 1);
+TEST(CacheLevel, TouchUpdatesDirtiness) {
+  CacheLevel level = make_level({4, 2, 64});
+  const int set = level.set_of(0x10);
+  EXPECT_EQ(level.find(set, 0x10), -1);
+  fill(level, 0x10, false);
+  const int way = level.find(set, 0x10);
+  ASSERT_GE(way, 0);
+  level.touch(set, way, false);
+  EXPECT_FALSE(level.is_dirty(0x10));
+  level.touch(set, way, true);
+  EXPECT_TRUE(level.is_dirty(0x10));
 }
 
-TEST(SetAssocCache, FillEvictsLruWhenFull) {
-  SetAssocCache cache({1, 2, 64}, ReplacementKind::kLru);
-  cache.fill(0x1, false);
-  cache.fill(0x2, true);
-  const auto victim = cache.fill(0x3, false);
+TEST(CacheLevel, FillEvictsLruWhenFull) {
+  CacheLevel level = make_level({1, 2, 64});
+  fill(level, 0x1, false);
+  fill(level, 0x2, true);
+  const auto victim = fill(level, 0x3, false);
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(victim->line, 0x1u);
   EXPECT_FALSE(victim->dirty);
-  EXPECT_FALSE(cache.contains(0x1));
-  EXPECT_TRUE(cache.contains(0x2));
-  EXPECT_TRUE(cache.contains(0x3));
+  EXPECT_FALSE(level.contains(0x1));
+  EXPECT_TRUE(level.contains(0x2));
+  EXPECT_TRUE(level.contains(0x3));
 }
 
-TEST(SetAssocCache, FillReportsDirtyVictim) {
-  SetAssocCache cache({1, 1, 64}, ReplacementKind::kLru);
-  cache.fill(0x1, true);
-  const auto victim = cache.fill(0x2, false);
+TEST(CacheLevel, FillReportsDirtyVictim) {
+  CacheLevel level = make_level({1, 1, 64});
+  fill(level, 0x1, true);
+  const auto victim = fill(level, 0x2, false);
   ASSERT_TRUE(victim.has_value());
   EXPECT_TRUE(victim->dirty);
+  EXPECT_FALSE(level.is_dirty(0x2)) << "a refilled way starts clean";
 }
 
-TEST(SetAssocCache, RemoveReturnsMetadata) {
-  SetAssocCache cache({2, 2, 64}, ReplacementKind::kLru);
-  cache.fill(0x4, true);
-  const auto removed = cache.remove(0x4);
+TEST(CacheLevel, RemoveReturnsMetadata) {
+  CacheLevel level = make_level({2, 2, 64});
+  fill(level, 0x4, true);
+  const auto removed = level.remove(0x4);
   ASSERT_TRUE(removed.has_value());
+  EXPECT_EQ(removed->line, 0x4u);
   EXPECT_TRUE(removed->dirty);
-  EXPECT_FALSE(cache.remove(0x4).has_value());
+  EXPECT_FALSE(level.remove(0x4).has_value());
+  EXPECT_TRUE(level.has_free_way(level.set_of(0x4)));
 }
 
-TEST(SetAssocCache, SetMappingIsModulo) {
-  SetAssocCache cache({4, 1, 64}, ReplacementKind::kLru);
+TEST(CacheLevel, SetMappingIsModulo) {
+  CacheLevel level = make_level({4, 1, 64});
   // Lines 0 and 4 share set 0 (1 way): second fill evicts the first.
-  cache.fill(0, false);
-  const auto victim = cache.fill(4, false);
+  fill(level, 0, false);
+  const auto victim = fill(level, 4, false);
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(victim->line, 0u);
   // Line 1 (set 1) coexists.
-  cache.fill(1, false);
-  EXPECT_TRUE(cache.contains(4));
-  EXPECT_TRUE(cache.contains(1));
+  fill(level, 1, false);
+  EXPECT_TRUE(level.contains(4));
+  EXPECT_TRUE(level.contains(1));
 }
 
-TEST(SetAssocCache, ResidentLinesAndValidCount) {
-  SetAssocCache cache({4, 2, 64}, ReplacementKind::kLru);
-  cache.fill(0x11, false);
-  cache.fill(0x22, false);
-  EXPECT_EQ(cache.valid_lines(), 2);
-  const auto lines = cache.resident_lines();
-  EXPECT_EQ(lines.size(), 2u);
+TEST(CacheLevel, NonPowerOfTwoSetMappingIsModulo) {
+  CacheLevel level = make_level({3, 1, 64});
+  EXPECT_EQ(level.set_of(0), 0);
+  EXPECT_EQ(level.set_of(4), 1);
+  EXPECT_EQ(level.set_of(0xffffffffffffffffULL), 0);
+  fill(level, 2, false);
+  const auto victim = fill(level, 5, false);  // 5 % 3 == 2
+  ASSERT_TRUE(victim.has_value());
+  EXPECT_EQ(victim->line, 2u);
+  EXPECT_FALSE(fill(level, 4, false).has_value());
 }
 
-TEST(SetAssocCache, LineOfUsesLineSize) {
+TEST(CacheLevel, ResidentLinesAndValidCount) {
+  CacheLevel level = make_level({4, 2, 64});
+  fill(level, 0x11, false);
+  fill(level, 0x22, false);
+  EXPECT_EQ(level.valid_lines(), 2);
+  // Set by set: 0x22 maps to set 2, 0x11 to set 1.
+  EXPECT_EQ(level.resident_lines(), (std::vector<LineAddr>{0x11, 0x22}));
+}
+
+TEST(CacheLevel, LineOfUsesLineSize) {
   CacheGeometry geometry{4, 2, 64};
   EXPECT_EQ(geometry.line_of(0), 0u);
   EXPECT_EQ(geometry.line_of(63), 0u);
@@ -189,18 +215,19 @@ class CacheGeometrySweep
 
 TEST_P(CacheGeometrySweep, CapacityNeverExceeded) {
   const auto [sets, ways] = GetParam();
-  SetAssocCache cache({sets, ways, 64}, ReplacementKind::kLru);
+  CacheLevel level = make_level({sets, ways, 64});
   for (LineAddr line = 0; line < 1000; ++line) {
-    if (!cache.access(line, false)) {
-      cache.fill(line, false);
+    const int set = level.set_of(line);
+    if (level.find(set, line) < 0) {
+      level.install(set, line, false);
     }
-    ASSERT_LE(cache.valid_lines(), sets * ways);
+    ASSERT_LE(level.valid_lines(), sets * ways);
   }
-  EXPECT_EQ(cache.valid_lines(), sets * ways);
+  EXPECT_EQ(level.valid_lines(), sets * ways);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, CacheGeometrySweep,
-                         ::testing::Combine(::testing::Values(1, 2, 16, 32),
+                         ::testing::Combine(::testing::Values(1, 2, 3, 16, 32),
                                             ::testing::Values(1, 2, 4, 16)),
                          [](const auto& info) {
                            return "s" +

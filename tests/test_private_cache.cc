@@ -1,9 +1,16 @@
 // Tests for the per-core L1I/L1D + L2 hierarchy: hit levels, inclusion,
-// dirtiness merging, forced evictions.
+// dirtiness merging, forced evictions, and a differential check of the flat
+// levels against a reference built from CacheSet.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/assert.h"
 #include "common/rng.h"
+#include "mem/cache_set.h"
 #include "mem/private_cache.h"
 
 namespace psllc::mem {
@@ -150,6 +157,257 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PrivateCacheProperty,
                          [](const auto& info) {
                            return "seed" + std::to_string(info.param);
                          });
+
+// --- differential: flat levels vs a CacheSet reference ----------------------
+
+// One level as a vector of CacheSet, probed the straightforward way: every
+// question is its own find() over the set.
+class RefLevel {
+ public:
+  RefLevel(const CacheGeometry& geometry, ReplacementKind kind,
+           std::uint64_t seed)
+      : num_sets_(static_cast<std::uint64_t>(geometry.num_sets)) {
+    for (int s = 0; s < geometry.num_sets; ++s) {
+      sets_.emplace_back(ReplacementPolicy(
+          kind, geometry.num_ways,
+          mix_seed(seed, static_cast<std::uint64_t>(s))));
+    }
+  }
+
+  [[nodiscard]] bool contains(LineAddr line) const {
+    return set_for(line).find(line) >= 0;
+  }
+  [[nodiscard]] bool is_dirty(LineAddr line) const {
+    const int way = set_for(line).find(line);
+    return way >= 0 && set_for(line).way(way).dirty();
+  }
+  [[nodiscard]] bool has_room(LineAddr line) const {
+    return set_for(line).find_free() >= 0;
+  }
+  bool access(LineAddr line, bool write) {
+    CacheSet& set = set_for(line);
+    const int way = set.find(line);
+    if (way < 0) {
+      return false;
+    }
+    set.touch(way);
+    if (write) {
+      set.mark_dirty(way);
+    }
+    return true;
+  }
+  std::optional<Evicted> fill(LineAddr line, bool dirty) {
+    CacheSet& set = set_for(line);
+    std::optional<Evicted> victim;
+    int way = set.find_free();
+    if (way < 0) {
+      way = set.select_victim_any();
+      const LineMeta old = set.invalidate(way);
+      victim = Evicted{old.line, old.dirty()};
+    }
+    set.insert(line, way, dirty ? LineState::kDirty : LineState::kClean);
+    return victim;
+  }
+  std::optional<Evicted> remove(LineAddr line) {
+    CacheSet& set = set_for(line);
+    const int way = set.find(line);
+    if (way < 0) {
+      return std::nullopt;
+    }
+    const LineMeta old = set.invalidate(way);
+    return Evicted{old.line, old.dirty()};
+  }
+  [[nodiscard]] std::vector<LineAddr> resident_lines() const {
+    std::vector<LineAddr> lines;
+    for (const CacheSet& set : sets_) {
+      for (int w = 0; w < set.ways(); ++w) {
+        if (set.way(w).valid()) {
+          lines.push_back(set.way(w).line);
+        }
+      }
+    }
+    return lines;
+  }
+
+ private:
+  CacheSet& set_for(LineAddr line) { return sets_[line % num_sets_]; }
+  [[nodiscard]] const CacheSet& set_for(LineAddr line) const {
+    return sets_[line % num_sets_];
+  }
+
+  std::uint64_t num_sets_;
+  std::vector<CacheSet> sets_;
+};
+
+// The hierarchy as three RefLevels, with the same inclusion rules.
+struct RefHierarchy {
+  RefHierarchy(const PrivateCacheConfig& config, std::uint64_t seed)
+      : l1i(config.l1i, config.replacement, mix_seed(seed, 1)),
+        l1d(config.l1d, config.replacement, mix_seed(seed, 2)),
+        l2(config.l2, config.replacement, mix_seed(seed, 3)) {}
+
+  RefLevel& l1_for(AccessType type) {
+    return type == AccessType::kIfetch ? l1i : l1d;
+  }
+  HitLevel access(LineAddr line, AccessType type) {
+    RefLevel& l1 = l1_for(type);
+    if (l1.access(line, is_write(type))) {
+      ++l1_hits;
+      return HitLevel::kL1;
+    }
+    if (!l2.access(line, false)) {
+      ++misses;
+      return HitLevel::kMiss;
+    }
+    ++l2_hits;
+    fill_l1(l1, line, is_write(type));
+    return HitLevel::kL2;
+  }
+  std::optional<Evicted> fill(LineAddr line, AccessType type, bool write) {
+    std::optional<Evicted> victim = l2.fill(line, false);
+    if (victim) {
+      for (RefLevel* l1 : {&l1i, &l1d}) {
+        if (auto v = l1->remove(victim->line)) {
+          victim->dirty = victim->dirty || v->dirty;
+        }
+      }
+    }
+    fill_l1(l1_for(type), line, write);
+    return victim;
+  }
+  void fill_l1(RefLevel& l1, LineAddr line, bool dirty) {
+    const std::optional<Evicted> victim = l1.fill(line, dirty);
+    if (victim && victim->dirty) {
+      EXPECT_TRUE(l2.access(victim->line, true));
+    }
+  }
+  ForcedEviction force_evict(LineAddr line) {
+    ForcedEviction result;
+    for (RefLevel* level : {&l1i, &l1d, &l2}) {
+      if (auto v = level->remove(line)) {
+        result.was_present = true;
+        result.was_dirty = result.was_dirty || v->dirty;
+      }
+    }
+    return result;
+  }
+  [[nodiscard]] bool holds_dirty(LineAddr line) const {
+    return l2.is_dirty(line) || l1d.is_dirty(line) || l1i.is_dirty(line);
+  }
+
+  RefLevel l1i;
+  RefLevel l1d;
+  RefLevel l2;
+  std::int64_t l1_hits = 0;
+  std::int64_t l2_hits = 0;
+  std::int64_t misses = 0;
+};
+
+PrivateCacheConfig shaped(CacheGeometry l1i, CacheGeometry l1d,
+                          CacheGeometry l2) {
+  PrivateCacheConfig config;
+  config.l1i = l1i;
+  config.l1d = l1d;
+  config.l2 = l2;
+  return config;
+}
+
+struct Shape {
+  const char* name;
+  PrivateCacheConfig config;
+};
+
+const std::vector<Shape>& shapes() {
+  static const std::vector<Shape> kShapes = {
+      {"paper", PrivateCacheConfig{}},
+      {"small", small_config()},
+      {"npot_3_5_12", shaped({3, 2, 64}, {5, 2, 64}, {12, 4, 64})},
+      {"l1_1way_l2_64way", shaped({4, 1, 64}, {8, 1, 64}, {2, 64, 64})},
+  };
+  return kShapes;
+}
+
+void expect_same_victim(const std::optional<Evicted>& got,
+                        const std::optional<Evicted>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (want) {
+    EXPECT_EQ(got->line, want->line);
+    EXPECT_EQ(got->dirty, want->dirty);
+  }
+}
+
+class PrivateCacheDifferential
+    : public ::testing::TestWithParam<std::tuple<ReplacementKind, int>> {};
+
+TEST_P(PrivateCacheDifferential, MatchesCacheSetReference) {
+  const auto [kind, shape_index] = GetParam();
+  PrivateCacheConfig config =
+      shapes()[static_cast<std::size_t>(shape_index)].config;
+  config.replacement = kind;
+  for (const std::uint64_t seed : {1ULL, 77ULL}) {
+    PrivateCacheHierarchy flat(config, seed);
+    RefHierarchy ref(config, seed);
+    Rng rng(mix_seed(seed, static_cast<std::uint64_t>(shape_index)));
+    // Four times the L2 capacity keeps every level under set pressure.
+    const auto span = static_cast<std::uint64_t>(4 * config.l2.capacity_lines());
+    for (int step = 0; step < 4000; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      const LineAddr line = rng.next_below(span);
+      const double action = rng.next_double();
+      if (action < 0.8) {
+        const double pick = rng.next_double();
+        const AccessType type = pick < 0.5    ? AccessType::kRead
+                                : pick < 0.75 ? AccessType::kWrite
+                                              : AccessType::kIfetch;
+        const Addr addr = line * 64 + rng.next_below(64);
+        const HitLevel hit = flat.access(addr, type);
+        ASSERT_EQ(hit, ref.access(line, type));
+        if (hit == HitLevel::kMiss) {
+          const bool write = is_write(type) || rng.next_bool(0.05);
+          expect_same_victim(flat.fill(addr, type, write),
+                             ref.fill(line, type, write));
+        }
+      } else if (action < 0.88) {
+        const ForcedEviction got = flat.force_evict(line);
+        const ForcedEviction want = ref.force_evict(line);
+        EXPECT_EQ(got.was_present, want.was_present);
+        EXPECT_EQ(got.was_dirty, want.was_dirty);
+      } else if (action < 0.92) {
+        if (!ref.l2.contains(line) && ref.l2.has_room(line)) {
+          const bool dirty = rng.next_bool(0.5);
+          flat.preload(line, dirty);
+          EXPECT_TRUE(ref.l2.fill(line, dirty) == std::nullopt);
+        }
+      } else {
+        EXPECT_EQ(flat.holds(line), ref.l2.contains(line));
+        EXPECT_EQ(flat.holds_dirty(line), ref.holds_dirty(line));
+      }
+      ASSERT_EQ(flat.l1_hits(), ref.l1_hits);
+      ASSERT_EQ(flat.l2_hits(), ref.l2_hits);
+      ASSERT_EQ(flat.misses(), ref.misses);
+      if (step % 64 == 0) {
+        ASSERT_EQ(flat.l1i().resident_lines(), ref.l1i.resident_lines());
+        ASSERT_EQ(flat.l1d().resident_lines(), ref.l1d.resident_lines());
+        ASSERT_EQ(flat.l2().resident_lines(), ref.l2.resident_lines());
+        ASSERT_TRUE(flat.check_inclusion());
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndShapes, PrivateCacheDifferential,
+    ::testing::Combine(::testing::Values(ReplacementKind::kLru,
+                                         ReplacementKind::kFifo,
+                                         ReplacementKind::kRandom,
+                                         ReplacementKind::kNmru,
+                                         ReplacementKind::kTreePlru),
+                       ::testing::Values(0, 1, 2, 3)),
+    [](const auto& info) {
+      return std::string(to_string(std::get<0>(info.param))) + "_" +
+             shapes()[static_cast<std::size_t>(std::get<1>(info.param))].name;
+    });
 
 }  // namespace
 }  // namespace psllc::mem
