@@ -14,7 +14,9 @@ CacheLevel::CacheLevel(const CacheGeometry& geometry,
   set_mask_ = num_sets_ - 1;
   pow2_sets_ = std::has_single_bit(num_sets_);
   all_ways_ = way_range(0, geometry_.num_ways);
-  tags_.assign(static_cast<std::size_t>(geometry_.capacity_lines()), 0);
+  tags_.assign(
+      static_cast<std::size_t>(geometry_.capacity_lines() + kNarrowWays - 1),
+      0);
   sets_.reserve(static_cast<std::size_t>(geometry_.num_sets));
   for (int s = 0; s < geometry_.num_sets; ++s) {
     sets_.push_back(

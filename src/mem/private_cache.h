@@ -49,12 +49,21 @@ class CacheLevel {
   /// Way of `set` holding `line`, or -1. Compares every way's tag without
   /// branching and masks the result with the valid ways: with the small
   /// private way counts this beats an early-exit scan, whose exit branch
-  /// mispredicts on most probes.
+  /// mispredicts on most probes. Sets of up to kNarrowWays ways compare a
+  /// fixed kNarrowWays tags (tags_ is padded so the read stays in bounds;
+  /// tags past the set's ways are dropped by the valid mask), so the probe
+  /// has no loop whose trip count alternates between the 2-way L1I and the
+  /// 4-way L1D.
   [[nodiscard]] int find(int set, LineAddr line) const {
     const LineAddr* tags = tags_.data() + base(set);
     WayMask hits = 0;
-    for (int w = 0; w < geometry_.num_ways; ++w) {
-      hits |= WayMask{tags[w] == line} << w;
+    if (geometry_.num_ways <= kNarrowWays) {
+      hits = WayMask{tags[0] == line} | WayMask{tags[1] == line} << 1 |
+             WayMask{tags[2] == line} << 2 | WayMask{tags[3] == line} << 3;
+    } else {
+      for (int w = 0; w < geometry_.num_ways; ++w) {
+        hits |= WayMask{tags[w] == line} << w;
+      }
     }
     hits &= state(set).valid;
     return hits != 0 ? lowest_way(hits) : -1;
@@ -132,6 +141,8 @@ class CacheLevel {
   [[nodiscard]] std::vector<LineAddr> resident_lines() const;
 
  private:
+  static constexpr int kNarrowWays = 4;
+
   /// Valid and dirty ways plus replacement state of one set.
   struct SetState {
     WayMask valid = 0;
@@ -155,7 +166,9 @@ class CacheLevel {
   std::uint64_t set_mask_ = 0;  ///< num_sets - 1
   bool pow2_sets_ = true;       ///< set_of may mask instead of divide
   WayMask all_ways_ = 0;
-  std::vector<LineAddr> tags_;  ///< sets x ways; a tag counts only when valid
+  /// sets x ways, plus kNarrowWays - 1 padding entries; a tag counts only
+  /// when its way is valid.
+  std::vector<LineAddr> tags_;
   std::vector<SetState> sets_;
 };
 
