@@ -4,15 +4,15 @@ several times per workload and writes BENCH_<n>_<short-sha>.json.
 
     python3 tools/bench_record.py                      # this checkout
     python3 tools/bench_record.py --checkout ../other  # another tree
-    python3 tools/bench_record.py --runs 3 --seconds 10 --workload corpus_periodic
 
-Each workload runs --runs times (default 5) at --seconds (default 30, the
-run length BENCHMARK.json fixes). The file records the host, compiler, build
-type and commit of the measured checkout (`-dirty` when tracked files differ
-from HEAD), every run's end-to-end metrics, and per metric the median and
-the interquartile range. <n> is --index, else one past the highest index
-already recorded in the output directory. The file goes to --out-dir
-(default: the root of the repository holding this script).
+Every row uses the same settings, so rows compare with each other: all
+three workloads, seed 1, 5 runs each at the run length BENCHMARK.json fixes
+(run_seconds). The file records the host, compiler, build type and commit
+of the measured checkout (`-dirty` when tracked files differ from HEAD),
+every run's end-to-end metrics, and per metric the median and the
+interquartile range. <n> is --index, else one past the highest index
+already recorded. The file goes to the root of the repository holding this
+script.
 """
 
 import argparse
@@ -27,6 +27,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sweep_dense", "corpus_periodic", "adversary_search")
+SEED = 1
+RUNS = 5
 
 
 def fail(message):
@@ -50,25 +52,31 @@ def commit_of(checkout):
 
 
 def build_dir(checkout):
+    """The perfbench build of `checkout`. Must match build_root() in
+    perfbench/run.py, which owns where that build lives."""
     path = os.environ.get("CARGO_TARGET_DIR") or ".bench_build"
     base = path if os.path.isabs(path) else os.path.join(checkout, path)
     return os.path.join(base, "perfbench")
 
 
 def cache_entry(checkout, name):
-    """A value from the benchmark build's CMakeCache.txt, or None."""
+    """A value from the benchmark build's CMakeCache.txt; fails when the
+    cache or the entry is missing rather than guess."""
+    path = os.path.join(build_dir(checkout), "CMakeCache.txt")
     try:
-        with open(os.path.join(build_dir(checkout), "CMakeCache.txt")) as f:
+        with open(path) as f:
             for line in f:
                 if line.startswith(name + ":"):
                     return line.split("=", 1)[1].strip()
     except OSError:
-        pass
+        fail("no %s after the runs; cannot tell the compiler and build "
+             "type" % path)
+    fail("%s has no %s entry" % (path, name))
     return None
 
 
 def compiler_of(checkout):
-    path = cache_entry(checkout, "CMAKE_CXX_COMPILER") or "c++"
+    path = cache_entry(checkout, "CMAKE_CXX_COMPILER")
     try:
         out = subprocess.run([path, "--version"], capture_output=True,
                              text=True, check=True).stdout
@@ -91,14 +99,14 @@ def host_info():
             "machine": platform.machine()}
 
 
-def end_to_end_metrics(checkout):
+def benchmark_spec(checkout):
     for base in (checkout, ROOT):
         path = os.path.join(base, "BENCHMARK.json")
         if os.path.isfile(path):
             with open(path) as f:
-                return json.load(f)["end_to_end"]
+                return json.load(f)
     fail("no BENCHMARK.json in %s or %s" % (checkout, ROOT))
-    return []
+    return None
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -126,9 +134,9 @@ def summarize(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def next_index(out_dir):
+def next_index():
     indices = [int(m.group(1)) for path in
-               glob.glob(os.path.join(out_dir, "BENCH_*_*.json"))
+               glob.glob(os.path.join(ROOT, "BENCH_*_*.json"))
                for m in [re.match(r"BENCH_(\d+)_", os.path.basename(path))]
                if m]
     return max(indices, default=0) + 1
@@ -138,28 +146,20 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", default=ROOT,
                         help="tree to measure (default: this repository)")
-    parser.add_argument("--out-dir", default=ROOT)
     parser.add_argument("--index", type=int)
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="repeatable; default: all three")
     args = parser.parse_args()
-    if args.runs < 1:
-        fail("--runs must be >= 1")
     checkout = os.path.abspath(args.checkout)
     commit, short = commit_of(checkout)
-    metrics = end_to_end_metrics(checkout)
-    workloads = args.workload or list(WORKLOADS)
+    spec = benchmark_spec(checkout)
+    seconds = spec["run_seconds"]
 
     rows = {}
-    for workload in workloads:
+    for workload in WORKLOADS:
         results = []
-        for i in range(args.runs):
-            result = run_once(checkout, workload, args.seed, args.seconds)
+        for i in range(RUNS):
+            result = run_once(checkout, workload, SEED, seconds)
             print("%s run %d/%d: %s" % (
-                workload, i + 1, args.runs,
+                workload, i + 1, RUNS,
                 " ".join("%s=%.4g" % (k, v["value"])
                          for k, v in result["metrics"].items())),
                 flush=True)
@@ -170,26 +170,26 @@ def main():
                "runs": [{k: v["value"] for k, v in r["metrics"].items()}
                         for r in results],
                "metrics": {}}
-        for metric in metrics:
+        for metric in spec["end_to_end"]:
             values = [r["metrics"][metric["name"]]["value"] for r in results]
             row["metrics"][metric["name"]] = dict(
                 unit=metric["unit"], better=metric["better"],
                 **summarize(values))
         rows[workload] = row
 
-    index = args.index if args.index is not None else next_index(args.out_dir)
+    index = args.index if args.index is not None else next_index()
     record = {
         "index": index,
         "commit": commit,
         "host": host_info(),
         "compiler": compiler_of(checkout),
         "build_type": cache_entry(checkout, "CMAKE_BUILD_TYPE"),
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "runs_per_workload": args.runs,
+        "seed": SEED,
+        "seconds": seconds,
+        "runs_per_workload": RUNS,
         "workloads": rows,
     }
-    path = os.path.join(args.out_dir, "BENCH_%d_%s.json" % (index, short))
+    path = os.path.join(ROOT, "BENCH_%d_%s.json" % (index, short))
     with open(path, "w") as f:
         json.dump(record, f, indent=2, sort_keys=True)
         f.write("\n")
