@@ -60,13 +60,13 @@ class FixedQueue {
   /// Element at FIFO position i (0 == head). Precondition: i < size().
   [[nodiscard]] const T& at(int i) const {
     PSLLC_ASSERT(i >= 0 && i < size_, "queue index " << i << " size " << size_);
-    return slots_[(head_ + static_cast<std::size_t>(i)) % slots_.size()];
+    return slots_[wrap(head_ + static_cast<std::size_t>(i))];
   }
 
   /// Mutable element at FIFO position i. Precondition: i < size().
   [[nodiscard]] T& at_mut(int i) {
     PSLLC_ASSERT(i >= 0 && i < size_, "queue index " << i << " size " << size_);
-    return slots_[(head_ + static_cast<std::size_t>(i)) % slots_.size()];
+    return slots_[wrap(head_ + static_cast<std::size_t>(i))];
   }
 
   /// Removes the element at FIFO position i, preserving order of the rest.
@@ -74,11 +74,10 @@ class FixedQueue {
   void erase_at(int i) {
     PSLLC_ASSERT(i >= 0 && i < size_, "queue index " << i << " size " << size_);
     for (int j = i; j + 1 < size_; ++j) {
-      slots_[(head_ + static_cast<std::size_t>(j)) % slots_.size()] =
-          std::move(slots_[(head_ + static_cast<std::size_t>(j) + 1) %
-                           slots_.size()]);
+      slots_[wrap(head_ + static_cast<std::size_t>(j))] =
+          std::move(slots_[wrap(head_ + static_cast<std::size_t>(j) + 1)]);
     }
-    tail_ = (head_ + static_cast<std::size_t>(size_) - 1) % slots_.size();
+    tail_ = wrap(head_ + static_cast<std::size_t>(size_) - 1);
     --size_;
   }
 
@@ -99,9 +98,12 @@ class FixedQueue {
   }
 
  private:
-  [[nodiscard]] std::size_t next(std::size_t i) const {
-    return (i + 1) % slots_.size();
+  /// Ring index of `i` < 2 * capacity: every caller adds at most one
+  /// in-range offset to an in-range index, so one compare replaces a modulo.
+  [[nodiscard]] std::size_t wrap(std::size_t i) const {
+    return i >= slots_.size() ? i - slots_.size() : i;
   }
+  [[nodiscard]] std::size_t next(std::size_t i) const { return wrap(i + 1); }
 
   std::vector<T> slots_;
   std::size_t head_ = 0;

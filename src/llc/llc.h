@@ -261,7 +261,19 @@ class BasicPartitionedLlc {
     bool drain_issued = false;
   };
 
-  [[nodiscard]] int partition_of_checked(CoreId core) const;
+  /// A core's partition under the active map: its id and a copy of its
+  /// rectangle, so the per-message path reads one small record instead of
+  /// walking program -> mode -> map -> spec.
+  struct Route {
+    int pid = -1;  ///< -1: the core has no partition in the active map
+    PartitionSpec spec;
+  };
+
+  /// The active route of `core`; asserts that the core has a partition.
+  [[nodiscard]] const Route& route_of(CoreId core) const;
+  /// Rebuilds routes_ from the active map; called whenever mode_index_
+  /// moves.
+  void rebuild_routes();
   [[nodiscard]] mem::CacheSet& set_at(int physical_set);
   [[nodiscard]] const mem::CacheSet& set_at(int physical_set) const;
   [[nodiscard]] EntryState& entry_state(int physical_set, int way);
@@ -271,11 +283,6 @@ class BasicPartitionedLlc {
   /// includes pending-invalidation entries), or -1.
   [[nodiscard]] int find_way_raw(const PartitionSpec& spec, int physical_set,
                                  LineAddr line) const;
-  /// Invalid way within the partition's way range, or -1.
-  [[nodiscard]] int find_free_way(const PartitionSpec& spec,
-                                  int physical_set) const;
-  [[nodiscard]] int count_free_ways(const PartitionSpec& spec,
-                                    int physical_set) const;
   [[nodiscard]] int count_pending_invals(const PartitionSpec& spec,
                                          int physical_set) const;
   [[nodiscard]] int count_pending_requests(int partition,
@@ -322,6 +329,7 @@ class BasicPartitionedLlc {
   InclusiveDirectory directory_;
   SetSequencer sequencer_;
   std::vector<std::optional<Pending>> pending_;
+  std::vector<Route> routes_;  ///< per core, for the active mode
   // Transition state (empty/false for static programs).
   bool transition_active_ = false;
   /// Frozen ways per set; non-empty only mid-transition.

@@ -50,6 +50,7 @@ BasicPartitionedLlc<Memory>::BasicPartitionedLlc(const LlcConfig& config,
   }
   entry_states_.resize(
       static_cast<std::size_t>(config_.geometry.capacity_lines()));
+  rebuild_routes();
 }
 
 template <typename Memory>
@@ -61,10 +62,25 @@ BasicPartitionedLlc<Memory>::BasicPartitionedLlc(const LlcConfig& config,
                           mode, num_cores, memory) {}
 
 template <typename Memory>
-int BasicPartitionedLlc<Memory>::partition_of_checked(CoreId core) const {
-  const int pid = partitions().partition_of(core);
-  PSLLC_ASSERT(pid >= 0, to_string(core) << " has no LLC partition");
-  return pid;
+const typename BasicPartitionedLlc<Memory>::Route&
+BasicPartitionedLlc<Memory>::route_of(CoreId core) const {
+  PSLLC_ASSERT(core.valid() &&
+                   static_cast<std::size_t>(core.value) < routes_.size() &&
+                   routes_[static_cast<std::size_t>(core.value)].pid >= 0,
+               to_string(core) << " has no LLC partition");
+  return routes_[static_cast<std::size_t>(core.value)];
+}
+
+template <typename Memory>
+void BasicPartitionedLlc<Memory>::rebuild_routes() {
+  const PartitionMap& map = partitions();
+  routes_.assign(pending_.size(), Route{});
+  for (std::size_t c = 0; c < routes_.size(); ++c) {
+    const int pid = map.partition_of(CoreId{static_cast<int>(c)});
+    if (pid >= 0) {
+      routes_[c] = Route{pid, map.spec(pid)};
+    }
+  }
 }
 
 template <typename Memory>
@@ -109,19 +125,6 @@ int BasicPartitionedLlc<Memory>::find_way_raw(const PartitionSpec& spec,
     }
   }
   return -1;
-}
-
-template <typename Memory>
-int BasicPartitionedLlc<Memory>::find_free_way(const PartitionSpec& spec,
-                                               int physical_set) const {
-  const mem::WayMask free = free_way_mask(spec, physical_set);
-  return free != 0 ? mem::lowest_way(free) : -1;
-}
-
-template <typename Memory>
-int BasicPartitionedLlc<Memory>::count_free_ways(const PartitionSpec& spec,
-                                                 int physical_set) const {
-  return std::popcount(free_way_mask(spec, physical_set));
 }
 
 template <typename Memory>
@@ -179,8 +182,7 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
                                 "data-disjoint model");
     }
   }
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
+  const auto& [pid, spec] = route_of(core);
   const int pset = spec.map_set(line);
   PSLLC_AUDIT(spec.contains_set(pset),
               "mapped set " << pset << " escapes partition " << pid << " "
@@ -224,11 +226,13 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
     // Allocation requires a free way, permission from the contention mode,
     // and no stale copy of the same line still draining out of the set
     // (pending invalidation) — nor out of a pre-transition location
-    // elsewhere in the cache (draining_lines_).
-    if (find_free_way(spec, pset) >= 0 && may_allocate(key, core) &&
-        find_way_raw(spec, pset, line) < 0 &&
+    // elsewhere in the cache (draining_lines_). The hit probe answers the
+    // stale-copy question on every pass: a present line's way is pending
+    // invalidation or draining, so it is never the victim freed below.
+    const mem::WayMask free = free_way_mask(spec, pset);
+    if (hit_way < 0 && free != 0 && may_allocate(key, core) &&
         draining_lines_.find(line) == draining_lines_.end()) {
-      const int way = find_free_way(spec, pset);
+      const int way = mem::lowest_way(free);
       PSLLC_AUDIT(spec.contains_way(way),
                   "allocated way " << way << " escapes partition " << pid
                                    << " " << spec.to_string());
@@ -266,7 +270,7 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
 
     const int demand = count_pending_requests(pid, pset);
     const int supply =
-        count_free_ways(spec, pset) + count_pending_invals(spec, pset);
+        std::popcount(free) + count_pending_invals(spec, pset);
     if (supply >= demand) {
       break;  // enough entries already free or on their way
     }
@@ -343,8 +347,7 @@ WritebackOutcome BasicPartitionedLlc<Memory>::handle_writeback(
     return apply_back_inval_ack(core, line, carries_dirty_data, now);
   }
   ++stats_.voluntary_writebacks;
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
+  const PartitionSpec& spec = route_of(core).spec;
   int pset = spec.map_set(line);
   int way = find_way_raw(spec, pset, line);
   if (way < 0) {
@@ -373,8 +376,7 @@ WritebackOutcome BasicPartitionedLlc<Memory>::handle_writeback(
 template <typename Memory>
 WritebackOutcome BasicPartitionedLlc<Memory>::apply_back_inval_ack(
     CoreId core, LineAddr line, bool dirty_data, Cycle now) {
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
+  const PartitionSpec& spec = route_of(core).spec;
   int pset = spec.map_set(line);
   int way = find_way_raw(spec, pset, line);
   if (way < 0) {
@@ -471,22 +473,20 @@ BasicPartitionedLlc<Memory>::entry(int physical_set, int way) const {
 
 template <typename Memory>
 int BasicPartitionedLlc<Memory>::find_way(CoreId core, LineAddr line) const {
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
+  const PartitionSpec& spec = route_of(core).spec;
   return find_way_raw(spec, spec.map_set(line), line);
 }
 
 template <typename Memory>
 int BasicPartitionedLlc<Memory>::free_ways(CoreId core, LineAddr line) const {
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
-  return count_free_ways(spec, spec.map_set(line));
+  const PartitionSpec& spec = route_of(core).spec;
+  return std::popcount(free_way_mask(spec, spec.map_set(line)));
 }
 
 template <typename Memory>
 SetKey BasicPartitionedLlc<Memory>::key_for(CoreId core, LineAddr line) const {
-  const int pid = partition_of_checked(core);
-  return SetKey{pid, partitions().spec(pid).map_set(line)};
+  const Route& route = route_of(core);
+  return SetKey{route.pid, route.spec.map_set(line)};
 }
 
 template <typename Memory>
@@ -507,14 +507,14 @@ void BasicPartitionedLlc<Memory>::preload(LineAddr line,
                                           bool dirty) {
   // Map through the partition of the first sharer, or partition 0 when the
   // line has no private copies.
-  const int pid = sharers.empty() ? 0 : partition_of_checked(sharers.front());
+  const int pid = sharers.empty() ? 0 : route_of(sharers.front()).pid;
   const PartitionSpec& spec = partitions().spec(pid);
   const int pset = spec.map_set(line);
   PSLLC_ASSERT(find_way_raw(spec, pset, line) < 0,
                "preload of already-present line");
-  const int way = find_free_way(spec, pset);
-  PSLLC_ASSERT(way >= 0, "preload into a full set");
-  set_at(pset).insert(line, way,
+  const mem::WayMask free = free_way_mask(spec, pset);
+  PSLLC_ASSERT(free != 0, "preload into a full set");
+  set_at(pset).insert(line, mem::lowest_way(free),
                       dirty ? mem::LineState::kDirty : mem::LineState::kClean);
   for (CoreId c : sharers) {
     PSLLC_ASSERT(partitions().partition_of(c) == pid,
@@ -588,6 +588,7 @@ std::vector<BackInvalidation> BasicPartitionedLlc<Memory>::advance_transition(
 template <typename Memory>
 void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
   ++mode_index_;
+  rebuild_routes();
   ++stats_.repartitions;
   transition_active_ = true;
   transition_windows_.emplace_back(slot_start, kNoCycle);
@@ -659,9 +660,9 @@ void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
     if (!pending) {
       continue;
     }
-    const int pid = partition_of_checked(CoreId{static_cast<int>(c)});
-    pending->partition = pid;
-    pending->physical_set = partitions().spec(pid).map_set(pending->line);
+    const Route& route = route_of(CoreId{static_cast<int>(c)});
+    pending->partition = route.pid;
+    pending->physical_set = route.spec.map_set(pending->line);
   }
 }
 

@@ -17,17 +17,17 @@ SetSequencer::SetSequencer(int num_queues, int queue_depth) {
 
 void SetSequencer::enqueue(SetKey key, CoreId core) {
   PSLLC_ASSERT(key.valid(), "invalid set key");
-  PSLLC_ASSERT(core.valid(), "invalid core");
-  int entry = find_entry(key);
-  if (entry < 0) {
-    entry = allocate_entry(key);
+  const CoreMask bit = core_bit(core);
+  PSLLC_ASSERT(bit != 0, "invalid core " << core.value);
+  int index = find_entry(key);
+  if (index < 0) {
+    index = allocate_entry(key);
   }
-  auto& queue =
-      queues_[static_cast<std::size_t>(qlt_[static_cast<std::size_t>(entry)]
-                                           .queue_index)];
-  PSLLC_ASSERT(queue.find_if([core](CoreId c) { return c == core; }) < 0,
+  QltEntry& entry = qlt_[static_cast<std::size_t>(index)];
+  PSLLC_ASSERT((entry.members & bit) == 0,
                to_string(core) << " already queued for this set");
-  queue.push(core);
+  queue_of(entry).push(core);
+  entry.members |= bit;
 }
 
 int SetSequencer::find_entry(SetKey key) const {
@@ -58,7 +58,7 @@ int SetSequencer::allocate_entry(SetKey key) {
     }
   }
   PSLLC_ASSERT(queue_index >= 0, "no free sequencer queue");
-  qlt_[static_cast<std::size_t>(entry)] = QltEntry{true, key, queue_index};
+  qlt_[static_cast<std::size_t>(entry)] = QltEntry{true, key, queue_index, 0};
   queue_in_use_[static_cast<std::size_t>(queue_index)] = true;
   queues_[static_cast<std::size_t>(queue_index)].clear();
   return entry;
@@ -74,11 +74,17 @@ void SetSequencer::release_entry(int entry_index) {
 bool SetSequencer::has_queue(SetKey key) const { return find_entry(key) >= 0; }
 
 bool SetSequencer::is_queued(SetKey key, CoreId core) const {
-  return position(key, core) >= 0;
+  const int entry = find_entry(key);
+  return entry >= 0 &&
+         (qlt_[static_cast<std::size_t>(entry)].members & core_bit(core)) != 0;
 }
 
 bool SetSequencer::is_head(SetKey key, CoreId core) const {
-  return position(key, core) == 0;
+  // A live entry's queue is never empty: the entry is released with its
+  // last waiter.
+  const int entry = find_entry(key);
+  return entry >= 0 &&
+         queue_of(qlt_[static_cast<std::size_t>(entry)]).front() == core;
 }
 
 int SetSequencer::queue_length(SetKey key) const {
@@ -86,9 +92,7 @@ int SetSequencer::queue_length(SetKey key) const {
   if (entry < 0) {
     return 0;
   }
-  return queues_[static_cast<std::size_t>(
-                     qlt_[static_cast<std::size_t>(entry)].queue_index)]
-      .size();
+  return queue_of(qlt_[static_cast<std::size_t>(entry)]).size();
 }
 
 int SetSequencer::position(SetKey key, CoreId core) const {
@@ -96,37 +100,35 @@ int SetSequencer::position(SetKey key, CoreId core) const {
   if (entry < 0) {
     return -1;
   }
-  const auto& queue =
-      queues_[static_cast<std::size_t>(qlt_[static_cast<std::size_t>(entry)]
-                                           .queue_index)];
-  return queue.find_if([core](CoreId c) { return c == core; });
+  return queue_of(qlt_[static_cast<std::size_t>(entry)])
+      .find_if([core](CoreId c) { return c == core; });
 }
 
 void SetSequencer::dequeue_head(SetKey key, CoreId core) {
-  const int entry = find_entry(key);
-  PSLLC_ASSERT(entry >= 0, "no queue for this set");
-  auto& queue =
-      queues_[static_cast<std::size_t>(qlt_[static_cast<std::size_t>(entry)]
-                                           .queue_index)];
+  const int index = find_entry(key);
+  PSLLC_ASSERT(index >= 0, "no queue for this set");
+  QltEntry& entry = qlt_[static_cast<std::size_t>(index)];
+  auto& queue = queue_of(entry);
   PSLLC_ASSERT(!queue.empty() && queue.front() == core,
                to_string(core) << " is not at the head");
   queue.pop();
+  entry.members &= ~core_bit(core);
   if (queue.empty()) {
-    release_entry(entry);
+    release_entry(index);
   }
 }
 
 void SetSequencer::remove(SetKey key, CoreId core) {
-  const int entry = find_entry(key);
-  PSLLC_ASSERT(entry >= 0, "no queue for this set");
-  auto& queue =
-      queues_[static_cast<std::size_t>(qlt_[static_cast<std::size_t>(entry)]
-                                           .queue_index)];
+  const int index = find_entry(key);
+  PSLLC_ASSERT(index >= 0, "no queue for this set");
+  QltEntry& entry = qlt_[static_cast<std::size_t>(index)];
+  auto& queue = queue_of(entry);
   const int pos = queue.find_if([core](CoreId c) { return c == core; });
   PSLLC_ASSERT(pos >= 0, to_string(core) << " not queued for this set");
   queue.erase_at(pos);
+  entry.members &= ~core_bit(core);
   if (queue.empty()) {
-    release_entry(entry);
+    release_entry(index);
   }
 }
 

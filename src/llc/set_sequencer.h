@@ -13,6 +13,12 @@
 // `num_cores` queues of depth `num_cores` suffice; both capacities are
 // enforced with assertions (exceeding them would be a model bug).
 //
+// Each QLT entry also keeps a member mask of the cores in its queue (bit c
+// = core c; cores are capped at kMaxCores), so membership is a bit test and
+// the head check one compare with the queue's front — no queue walk on the
+// per-request path. The mask and the queue hold the same cores by
+// construction: every push sets the bit, every pop or erase clears it.
+//
 // Sets are identified by an opaque SetKey = (partition id, physical set)
 // because partitions that share a physical set (different way ranges) are
 // fully isolated and must not share ordering state.
@@ -24,6 +30,7 @@
 
 #include "common/fixed_queue.h"
 #include "common/types.h"
+#include "llc/directory.h"
 
 namespace psllc::llc {
 
@@ -90,10 +97,18 @@ class SetSequencer {
     bool valid = false;
     SetKey key;
     int queue_index = -1;
+    CoreMask members = 0;  ///< cores in the entry's queue
   };
 
   /// QLT lookup: index into qlt_, or -1.
   [[nodiscard]] int find_entry(SetKey key) const;
+  [[nodiscard]] FixedQueue<CoreId>& queue_of(const QltEntry& entry) {
+    return queues_[static_cast<std::size_t>(entry.queue_index)];
+  }
+  [[nodiscard]] const FixedQueue<CoreId>& queue_of(
+      const QltEntry& entry) const {
+    return queues_[static_cast<std::size_t>(entry.queue_index)];
+  }
   /// Allocates a QLT entry + free queue for `key`.
   int allocate_entry(SetKey key);
   void release_entry(int entry_index);

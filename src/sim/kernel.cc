@@ -183,6 +183,20 @@ class ReplayKernel {
         (void)body_.execute_slot(action);
         last_action_slot = action;
         cur_slot = action + 1;
+        // 4. Busy stretch: step the following slots directly, as a driver
+        //    stepping every slot would, and return to the search after the
+        //    first idle one. execute_slot(k - 1) has advanced every lane to
+        //    (k - 1) * W, so exit_slot sees the state that driver sees
+        //    before slot k; execute_slot pumps transitions itself, and an
+        //    idle slot changes nothing the search would not recompute.
+        while (cur_slot < horizon && exit_slot(last_action_slot) > cur_slot) {
+          const core::SlotEvent event = body_.execute_slot(cur_slot);
+          last_action_slot = cur_slot;
+          ++cur_slot;
+          if (event.action == core::SlotEvent::Action::kIdle) {
+            break;
+          }
+        }
       }
       // Final phase: no more bus actions inside the horizon. Finish the
       // remaining local work up to the deepest limit (a lane may still

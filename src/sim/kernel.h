@@ -3,13 +3,16 @@
 // Both replay engines run the one slot body, core::SlotBody
 // (core/slot_body.h); they differ only in which slots they visit. The
 // reference driver, core::System, executes every TDM slot. The kernel
-// executes only the slots that carry a bus action: it computes the exact
-// next slot in which a buffered PRB/PWB message becomes pick-eligible, or
-// in which a still-running lane could at the earliest enqueue one, runs
-// lanes forward only as far as the no-overshoot bound allows, and executes
-// that slot through the body. Idle slots are skipped outright. The kernel's
-// own state — a TDM next-owned-slot table and a per-lane lower-bound cache
-// keyed on the body's lane versions — never feeds back into the model.
+// searches for the next slot that carries a bus action: it computes the
+// exact next slot in which a buffered PRB/PWB message becomes
+// pick-eligible, or in which a still-running lane could at the earliest
+// enqueue one, runs lanes forward only as far as the no-overshoot bound
+// allows, and executes that slot through the body. It then steps the
+// following slots directly, as core::System does, while they stay busy,
+// and returns to the search after the first idle one. Idle slots between
+// busy stretches are skipped outright. The kernel's own state — a TDM
+// next-owned-slot table and a per-lane lower-bound cache keyed on the
+// body's lane versions — never feeds back into the model.
 //
 // The memory backend is selected once per cell and the body is
 // instantiated on the concrete `final` backend, so DRAM service calls

@@ -2,6 +2,8 @@
 // strings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <set>
 
 #include "common/assert.h"
@@ -301,6 +303,51 @@ TEST(FixedQueue, EmptyAccessorsAssert) {
   EXPECT_THROW(q.pop(), AssertionError);
   EXPECT_THROW((void)q.front(), AssertionError);
   EXPECT_THROW((void)q.at(0), AssertionError);
+}
+
+// Random push/pop/erase_at sequences against a std::deque, at capacities
+// small enough that head and tail cross the end of the ring many times:
+// every index the queue wraps (at, at_mut, erase_at's shifts, the tail it
+// recomputes) must name the same element as the reference.
+TEST(FixedQueue, WrapMatchesDequeReference) {
+  Rng rng(2718);
+  for (int capacity = 1; capacity <= 5; ++capacity) {
+    FixedQueue<int> q(capacity);
+    std::deque<int> reference;
+    int next_value = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = rng.next_below(3);
+      if (op == 0 && !q.full()) {
+        q.push(next_value);
+        reference.push_back(next_value);
+        ++next_value;
+      } else if (op == 1 && !q.empty()) {
+        EXPECT_EQ(q.pop(), reference.front());
+        reference.pop_front();
+      } else if (op == 2 && !q.empty()) {
+        const int i = static_cast<int>(rng.next_below(reference.size()));
+        q.erase_at(i);
+        reference.erase(reference.begin() + i);
+      }
+      ASSERT_EQ(q.size(), static_cast<int>(reference.size()))
+          << "capacity " << capacity << " step " << step;
+      EXPECT_EQ(q.full(), static_cast<int>(reference.size()) == capacity);
+      for (int i = 0; i < q.size(); ++i) {
+        ASSERT_EQ(q.at(i), reference[static_cast<std::size_t>(i)])
+            << "capacity " << capacity << " step " << step << " index " << i;
+        ASSERT_EQ(&q.at_mut(i), &q.at(i));
+      }
+      if (!reference.empty()) {
+        EXPECT_EQ(q.front(), reference.front());
+        const int probe = reference[rng.next_below(reference.size())];
+        const auto it = std::find(reference.begin(), reference.end(), probe);
+        EXPECT_EQ(q.find_if([probe](int v) { return v == probe; }),
+                  static_cast<int>(it - reference.begin()));
+      }
+      EXPECT_EQ(q.find_if([](int v) { return v < 0; }), -1);
+    }
+    EXPECT_GT(next_value, 4 * capacity) << "too few wraps at " << capacity;
+  }
 }
 
 // --- strings -----------------------------------------------------------------------

@@ -7,6 +7,7 @@
 // covers the shared/mirrored and mapped-view workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -15,6 +16,8 @@
 
 #include "common/assert.h"
 #include "common/log.h"
+#include "core/system.h"
+#include "llc/partition.h"
 #include "mem/memory_backend.h"
 #include "sim/experiment.h"
 #include "sim/replay.h"
@@ -198,6 +201,163 @@ TEST(KernelDifferential, MatchesLegacyOnMappedView) {
   EXPECT_TRUE(replay(materialized).metrics == legacy)
       << "view vs materialized";
   std::filesystem::remove(path);
+}
+
+/// What the reference driver saw after each slot it stepped.
+struct SlotLog {
+  std::vector<bool> busy;        ///< the slot carried a bus action
+  std::vector<bool> transition;  ///< a mode transition was still draining
+  std::vector<bool> lane0_done;  ///< lane 0's trace had finished
+};
+
+/// Steps `traces` on core::System to completion, logging every slot.
+SlotLog log_reference_slots(const core::ExperimentSetup& setup,
+                            const std::vector<core::Trace>& traces) {
+  core::System system(setup);
+  for (std::size_t c = 0; c < traces.size(); ++c) {
+    system.set_trace(CoreId{static_cast<int>(c)}, traces[c]);
+  }
+  SlotLog log;
+  system.add_slot_observer([&](const core::SlotEvent& event) {
+    log.busy.push_back(event.action != core::SlotEvent::Action::kIdle);
+    log.transition.push_back(system.llc().transition_active());
+    log.lane0_done.push_back(system.trace_done(CoreId{0}));
+  });
+  EXPECT_TRUE(system.run(RunOptions{}.max_cycles).all_done);
+  return log;
+}
+
+/// A busy stretch [first, last]: busy slots with an idle slot on each side,
+/// so the kernel's search lands on `first` and steps the rest.
+struct Stretch {
+  std::int64_t first = -1;
+  std::int64_t last = -1;
+};
+
+/// The first busy stretch at or after slot `from` of at least `min_length`
+/// slots, or {-1, -1}.
+Stretch find_stretch(const std::vector<bool>& busy, std::int64_t from,
+                     std::int64_t min_length) {
+  const auto n = static_cast<std::int64_t>(busy.size());
+  for (std::int64_t a = std::max<std::int64_t>(from, 1); a < n; ++a) {
+    if (busy[static_cast<std::size_t>(a - 1)] ||
+        !busy[static_cast<std::size_t>(a)]) {
+      continue;
+    }
+    std::int64_t b = a;
+    while (b + 1 < n && busy[static_cast<std::size_t>(b + 1)]) {
+      ++b;
+    }
+    if (b + 1 < n && b - a + 1 >= min_length) {
+      return {a, b};
+    }
+    a = b;
+  }
+  return {};
+}
+
+std::vector<core::Trace> dense_traces(int cores, int accesses,
+                                      std::uint64_t seed) {
+  RandomWorkloadOptions workload;
+  workload.range_bytes = 65536;
+  workload.accesses = accesses;
+  workload.write_fraction = 0.4;
+  return make_disjoint_random_workload(cores, workload, seed);
+}
+
+// The kernel steps the slots after each action slot directly while they
+// stay busy. A horizon can end such a stretch: one slot after its action
+// slot, mid-way, at its last slot, and at the idle slot that closes it.
+TEST(KernelStepping, MatchesLegacyWhenHorizonCutsABusyStretch) {
+  const std::vector<core::Trace> traces = dense_traces(4, 800, 606);
+  const core::ExperimentSetup setup = core::make_paper_setup("SS(1,4,4)", 4);
+  const SlotLog log = log_reference_slots(setup, traces);
+  const Stretch stretch = find_stretch(log.busy, 50, 6);
+  ASSERT_GE(stretch.first, 0) << "no busy stretch of 6 slots";
+  const std::int64_t a = stretch.first;
+  const std::int64_t b = stretch.last;
+  for (const std::int64_t horizon :
+       {a + 1, a + 2, (a + b) / 2 + 1, b, b + 1, b + 2}) {
+    ReplayRequest request;
+    request.setup = &setup;
+    request.workload.per_core = &traces;
+    request.options.max_cycles = horizon * setup.config.slot_width;
+    const auto [kernel, legacy] = run_both(request);
+    EXPECT_FALSE(legacy.completed) << "horizon " << horizon;
+    EXPECT_TRUE(kernel == legacy)
+        << "stretch [" << a << ", " << b << "] horizon " << horizon;
+  }
+}
+
+// A repartition epoch in the middle of a long busy stretch: the mode
+// switch fires in a stepped slot, and the drain it starts is pumped by the
+// stepped slots after it.
+TEST(KernelStepping, MatchesLegacyWhenATransitionFiresInsideAStretch) {
+  const std::vector<core::Trace> traces = dense_traces(4, 1000, 707);
+  core::ExperimentSetup setup = core::make_paper_setup("SS(1,4,4)", 4);
+  const Stretch stretch =
+      find_stretch(log_reference_slots(setup, traces).busy, 1, 200);
+  ASSERT_GE(stretch.first, 0) << "no busy stretch of 200 slots";
+  const std::int64_t epoch_slot = stretch.first + 100;
+  const Cycle W = setup.config.slot_width;
+  const llc::PartitionMap initial = setup.partitions();
+  llc::PartitionProgram program(initial);
+  program.add_mode(llc::make_way_bounced_map(initial, 1), epoch_slot * W, {},
+                   "bounce");
+  program.add_mode(initial, (epoch_slot + 400) * W, {}, "restore");
+  setup.program = std::move(program);
+
+  const SlotLog log = log_reference_slots(setup, traces);
+  const auto e = static_cast<std::size_t>(epoch_slot);
+  ASSERT_LT(e + 1, log.busy.size());
+  EXPECT_TRUE(log.busy[e - 1] && log.busy[e] && log.busy[e + 1])
+      << "the epoch slot is not inside a stretch";
+  EXPECT_TRUE(log.transition[e]) << "the drain ended in the epoch slot";
+
+  ReplayRequest request;
+  request.setup = &setup;
+  request.workload.per_core = &traces;
+  const auto [kernel, legacy] = run_both(request);
+  EXPECT_TRUE(legacy.completed);
+  EXPECT_EQ(legacy.llc_stats.repartitions, 2);
+  EXPECT_GT(legacy.llc_stats.drain_back_invals, 0);
+  EXPECT_TRUE(kernel == legacy) << "transition in a stretch";
+  for (const std::int64_t horizon : {epoch_slot + 1, epoch_slot + 3}) {
+    request.options.max_cycles = horizon * W;
+    const auto [cut_kernel, cut_legacy] = run_both(request);
+    EXPECT_TRUE(cut_kernel == cut_legacy) << "horizon " << horizon;
+  }
+}
+
+// Lane 0 runs out of ops while the other lanes keep the bus saturated, so
+// its finish time and done slot are set inside a stepped stretch; horizons
+// right after the finish must agree too.
+TEST(KernelStepping, MatchesLegacyWhenALaneFinishesMidStretch) {
+  std::vector<core::Trace> traces = dense_traces(4, 1000, 808);
+  traces[0].resize(60);
+  const core::ExperimentSetup setup = core::make_paper_setup("SS(1,4,4)", 4);
+  const SlotLog log = log_reference_slots(setup, traces);
+  const auto done = static_cast<std::size_t>(
+      std::find(log.lane0_done.begin(), log.lane0_done.end(), true) -
+      log.lane0_done.begin());
+  ASSERT_GT(done, 0U);
+  ASSERT_LT(done + 1, log.busy.size());
+  EXPECT_TRUE(log.busy[done - 1] && log.busy[done] && log.busy[done + 1])
+      << "lane 0 finished outside a busy stretch (slot " << done << ")";
+
+  ReplayRequest request;
+  request.setup = &setup;
+  request.workload.per_core = &traces;
+  const auto [kernel, legacy] = run_both(request);
+  EXPECT_TRUE(legacy.completed);
+  EXPECT_TRUE(kernel == legacy) << "lane finished mid-stretch";
+  const auto done_slot = static_cast<std::int64_t>(done);
+  for (const std::int64_t horizon :
+       {done_slot, done_slot + 1, done_slot + 2}) {
+    request.options.max_cycles = horizon * setup.config.slot_width;
+    const auto [cut_kernel, cut_legacy] = run_both(request);
+    EXPECT_TRUE(cut_kernel == cut_legacy) << "horizon " << horizon;
+  }
 }
 
 /// Captures every log line at kTrace while alive.

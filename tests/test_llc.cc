@@ -2,6 +2,10 @@
 // sequencer, and the PartitionedLlc request/write-back protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <iterator>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -344,6 +348,92 @@ TEST(SetSequencer, HardwareCapacityAsserts) {
   EXPECT_THROW(seq.enqueue(SetKey{0, 0}, CoreId{0}), AssertionError);
   // Dequeue of a non-head core.
   EXPECT_THROW(seq.dequeue_head(SetKey{0, 0}, CoreId{1}), AssertionError);
+}
+
+// Random enqueue / dequeue_head / remove / clear sequences against a
+// std::map of std::deques. Core ids include 63, the top bit of the QLT
+// member masks. Every query is checked after every step, and rejected
+// operations (a duplicate enqueue, a dequeue of a non-head) must leave the
+// state unchanged.
+TEST(SetSequencer, MatchesDequeReference) {
+  const SetKey keys[] = {{0, 1}, {0, 2}, {1, 1}, {2, 7}};
+  const CoreId cores[] = {CoreId{0}, CoreId{1}, CoreId{5}, CoreId{63}};
+  SetSequencer seq(4, 4);
+  std::map<SetKey, std::deque<CoreId>> reference;
+  Rng rng(4711);
+  auto check = [&](int step) {
+    int live = 0;
+    for (const SetKey& key : keys) {
+      const auto it = reference.find(key);
+      const bool queued = it != reference.end();
+      live += queued ? 1 : 0;
+      ASSERT_EQ(seq.has_queue(key), queued) << "step " << step;
+      ASSERT_EQ(seq.queue_length(key),
+                queued ? static_cast<int>(it->second.size()) : 0)
+          << "step " << step;
+      for (const CoreId core : cores) {
+        int expected = -1;
+        if (queued) {
+          const auto pos =
+              std::find(it->second.begin(), it->second.end(), core);
+          if (pos != it->second.end()) {
+            expected = static_cast<int>(pos - it->second.begin());
+          }
+        }
+        ASSERT_EQ(seq.position(key, core), expected)
+            << "step " << step << " " << to_string(core);
+        ASSERT_EQ(seq.is_queued(key, core), expected >= 0) << "step " << step;
+        ASSERT_EQ(seq.is_head(key, core), expected == 0) << "step " << step;
+      }
+    }
+    ASSERT_EQ(seq.active_queues(), live) << "step " << step;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const SetKey key = keys[rng.next_below(std::size(keys))];
+    const CoreId core = cores[rng.next_below(std::size(cores))];
+    auto it = reference.find(key);
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 45) {
+      const bool present =
+          it != reference.end() &&
+          std::find(it->second.begin(), it->second.end(), core) !=
+              it->second.end();
+      if (present) {
+        EXPECT_THROW(seq.enqueue(key, core), AssertionError);
+      } else {
+        seq.enqueue(key, core);
+        reference[key].push_back(core);
+      }
+    } else if (op < 70) {
+      if (it != reference.end()) {
+        const CoreId head = it->second.front();
+        if (core != head) {
+          EXPECT_THROW(seq.dequeue_head(key, core), AssertionError);
+        }
+        seq.dequeue_head(key, head);
+        it->second.pop_front();
+      }
+    } else if (op < 99) {
+      if (it != reference.end()) {
+        auto& queue = it->second;
+        const auto victim = queue.begin() + static_cast<std::ptrdiff_t>(
+                                                rng.next_below(queue.size()));
+        seq.remove(key, *victim);
+        queue.erase(victim);
+      }
+    } else {
+      seq.clear();
+      reference.clear();
+      it = reference.end();
+    }
+    if (it != reference.end() && it->second.empty()) {
+      reference.erase(it);
+    }
+    check(step);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
 }
 
 // --- PartitionedLlc ---------------------------------------------------------------

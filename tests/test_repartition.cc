@@ -10,6 +10,7 @@
 
 #include "core/system.h"
 #include "core/wcl_analysis.h"
+#include "llc/llc.h"
 #include "llc/partition.h"
 #include "mem/memory_backend.h"
 #include "sim/replay.h"
@@ -160,6 +161,51 @@ TEST(WayBounce, ShiftsWhenItFitsShrinksWhenItDoesNot) {
   const llc::PartitionMap same = llc::make_way_bounced_map(initial, 0);
   EXPECT_EQ(same.spec(0).first_way, initial.spec(0).first_way);
   EXPECT_EQ(same.spec(0).num_ways, initial.spec(0).num_ways);
+}
+
+// The LLC resolves a core's partition from the active mode: after a switch
+// that renumbers partitions and moves their rectangles, every SetKey,
+// probe and fill follows the new map, not the one the LLC was built with.
+TEST(LlcRoutes, FollowTheActiveModeAfterASwitch) {
+  const mem::CacheGeometry geometry = llc::LlcConfig{}.geometry;
+  llc::PartitionMap initial(geometry);
+  initial.add_partition(llc::PartitionSpec{0, 4, 0, 2}, {CoreId{0}});
+  initial.add_partition(llc::PartitionSpec{4, 4, 0, 2}, {CoreId{1}});
+  llc::PartitionMap moved(geometry);
+  moved.add_partition(llc::PartitionSpec{8, 4, 2, 2}, {CoreId{1}});
+  moved.add_partition(llc::PartitionSpec{16, 8, 4, 3}, {CoreId{0}});
+  llc::PartitionProgram program(initial);
+  program.add_mode(moved, 100, {}, "moved");
+  mem::FixedLatencyBackend dram{mem::DramConfig{}};
+  llc::PartitionedLlc llc(llc::LlcConfig{}, std::move(program),
+                          llc::ContentionMode::kSetSequencer, 2, dram);
+  EXPECT_EQ(llc.key_for(CoreId{0}, 0x5), (llc::SetKey{0, 1}));
+  EXPECT_TRUE(llc.advance_transition(100).empty());  // nothing to drain
+  ASSERT_FALSE(llc.transition_active());
+
+  const llc::PartitionMap& map = llc.partitions();
+  for (int c = 0; c < 2; ++c) {
+    const CoreId core{c};
+    const int pid = map.partition_of(core);
+    const llc::PartitionSpec& spec = map.spec(pid);
+    const LineAddr base = LineAddr{0x40} * static_cast<LineAddr>(c + 1);
+    for (LineAddr line = base; line < base + 6; ++line) {
+      EXPECT_EQ(llc.key_for(core, line),
+                (llc::SetKey{pid, spec.map_set(line)}));
+      const int free_before = llc.free_ways(core, line);
+      EXPECT_EQ(llc.find_way(core, line), -1);
+      EXPECT_EQ(llc.handle_request(core, line, 150).status,
+                llc::RequestOutcome::Status::kFilled);
+      const int way = llc.find_way(core, line);
+      EXPECT_TRUE(spec.contains_way(way)) << "way " << way;
+      EXPECT_TRUE(llc.entry(spec.map_set(line), way).valid);
+      EXPECT_EQ(llc.entry(spec.map_set(line), way).line, line);
+      EXPECT_EQ(llc.free_ways(core, line), free_before - 1);
+      EXPECT_EQ(llc.handle_request(core, line, 200).status,
+                llc::RequestOutcome::Status::kHit);
+    }
+  }
+  llc.check_invariants();
 }
 
 // Program validation: epochs must strictly increase and mode 0 starts at 0.

@@ -7,12 +7,15 @@ several times per workload and writes BENCH_<n>_<short-sha>.json.
 
 Every row uses the same settings, so rows compare with each other: all
 three workloads, seed 1, 5 runs each at the run length BENCHMARK.json fixes
-(run_seconds). The file records the host, compiler, build type and commit
-of the measured checkout (`-dirty` when tracked files differ from HEAD),
-every run's end-to-end metrics, and per metric the median and the
-interquartile range. <n> is --index, else one past the highest index
-already recorded. The file goes to the root of the repository holding this
-script.
+(run_seconds), then 3 traced runs (--trace 1) of the same length. The file
+records the host, compiler, build type and commit of the measured checkout
+(`-dirty` when tracked files differ from HEAD), every run's end-to-end
+metrics, per metric the median and the interquartile range, and under
+`layers` the median of each per-layer metric over the traced runs. Count
+metrics (bus.slots, llc.*, mem.backend.* counts) sum over a run's traced
+passes, so `layers` also keeps each traced run's pass count. <n> is
+--index, else one past the highest index already recorded. The file goes
+to the root of the repository holding this script.
 """
 
 import argparse
@@ -29,6 +32,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sweep_dense", "corpus_periodic", "adversary_search")
 SEED = 1
 RUNS = 5
+TRACED_RUNS = 3
 
 
 def fail(message):
@@ -109,21 +113,51 @@ def benchmark_spec(checkout):
     return None
 
 
-def run_once(checkout, workload, seed, seconds):
-    """One perfbench run; returns its result object (last stdout line)."""
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """One perfbench run; returns its result object (last stdout line) and
+    its stdout."""
     proc = subprocess.run(
         [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), proc.stdout
     except (IndexError, ValueError):
         sys.stderr.write(proc.stdout + proc.stderr)
         fail("%s run produced no result (exit %d)" %
              (workload, proc.returncode))
-    return None
+    return None, None
+
+
+def traced_passes(stdout, workload):
+    """The traced pass count the driver reports on its summary line."""
+    match = re.search(r"traced passes (\d+)", stdout)
+    if not match:
+        fail("%s traced run reported no traced pass count" % workload)
+    return int(match.group(1))
+
+
+def layer_row(checkout, workload, seconds):
+    """Median of each per-layer metric over TRACED_RUNS traced runs."""
+    results = []
+    passes = []
+    for i in range(TRACED_RUNS):
+        result, stdout = run_once(checkout, workload, SEED, seconds, trace=1)
+        passes.append(traced_passes(stdout, workload))
+        print("%s traced run %d/%d: %d traced passes" % (
+            workload, i + 1, TRACED_RUNS, passes[-1]), flush=True)
+        results.append(result)
+    layers = {"correct": all(r["correct"] for r in results),
+              "traced_passes": passes,
+              "metrics": {}}
+    for name in results[0]["metrics"]:
+        values = [r["metrics"][name]["value"] for r in results]
+        layers["metrics"][name] = {
+            "unit": results[0]["metrics"][name]["unit"],
+            "median": statistics.median(values)}
+    return layers
 
 
 def summarize(values):
@@ -157,7 +191,7 @@ def main():
     for workload in WORKLOADS:
         results = []
         for i in range(RUNS):
-            result = run_once(checkout, workload, SEED, seconds)
+            result, _ = run_once(checkout, workload, SEED, seconds)
             print("%s run %d/%d: %s" % (
                 workload, i + 1, RUNS,
                 " ".join("%s=%.4g" % (k, v["value"])
@@ -175,6 +209,7 @@ def main():
             row["metrics"][metric["name"]] = dict(
                 unit=metric["unit"], better=metric["better"],
                 **summarize(values))
+        row["layers"] = layer_row(checkout, workload, seconds)
         rows[workload] = row
 
     index = args.index if args.index is not None else next_index()
@@ -187,6 +222,7 @@ def main():
         "seed": SEED,
         "seconds": seconds,
         "runs_per_workload": RUNS,
+        "traced_runs_per_workload": TRACED_RUNS,
         "workloads": rows,
     }
     path = os.path.join(ROOT, "BENCH_%d_%s.json" % (index, short))
@@ -194,7 +230,8 @@ def main():
         json.dump(record, f, indent=2, sort_keys=True)
         f.write("\n")
     print("wrote " + path)
-    return 0 if all(row["correct"] for row in rows.values()) else 1
+    return 0 if all(row["correct"] and row["layers"]["correct"]
+                    for row in rows.values()) else 1
 
 
 if __name__ == "__main__":
