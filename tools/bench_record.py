@@ -11,11 +11,11 @@ three workloads, seed 1, 5 runs each at the run length BENCHMARK.json fixes
 records the host, compiler, build type and commit of the measured checkout
 (`-dirty` when tracked files differ from HEAD), every run's end-to-end
 metrics, per metric the median and the interquartile range, and under
-`layers` the median of each per-layer metric over the traced runs. Count
-metrics (bus.slots, llc.*, mem.backend.* counts) sum over a run's traced
-passes, so `layers` also keeps each traced run's pass count. <n> is
---index, else one past the highest index already recorded. The file goes
-to the root of the repository holding this script.
+`layers` the median of each per-layer metric over the traced runs, with
+each traced run's pass count (the timing medians span that many passes;
+counts come from the last one). <n> is --index, else one past the highest
+index already recorded. The file goes to the root of the repository
+holding this script.
 """
 
 import argparse
