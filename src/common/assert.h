@@ -49,13 +49,19 @@ namespace detail {
 
 /// Always-on assertion with streamed context:
 ///   PSLLC_ASSERT(x < n, "way index " << x << " out of range " << n);
+/// The condition is evaluated once; the message operands only when it
+/// fails. The failure path (message formatting and the throw) is a cold,
+/// never-inlined lambda, so a hot function that asserts carries only the
+/// test and a call, not an inlined std::ostringstream.
 #define PSLLC_ASSERT(cond, ...)                                          \
   do {                                                                   \
-    if (!(cond)) {                                                       \
-      std::ostringstream psllc_assert_oss_;                              \
-      psllc_assert_oss_ << __VA_ARGS__;                                  \
-      ::psllc::detail::assertion_failed(#cond, __FILE__, __LINE__,       \
-                                        psllc_assert_oss_.str());        \
+    if (!(cond)) [[unlikely]] {                                          \
+      [&]() __attribute__((noinline, cold, noreturn)) {                  \
+        std::ostringstream psllc_assert_oss_;                            \
+        psllc_assert_oss_ << __VA_ARGS__;                                \
+        ::psllc::detail::assertion_failed(#cond, __FILE__, __LINE__,     \
+                                          psllc_assert_oss_.str());      \
+      }();                                                               \
     }                                                                    \
   } while (false)
 

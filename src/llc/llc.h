@@ -22,6 +22,13 @@
 // can increase, Observation 3) and kSetSequencer (the paper's SS — FIFO
 // arrival order enforced by the set sequencer, Theorem 4.8).
 //
+// Storage is one flat tag store, as in the private levels
+// (mem::CacheLevel): a sets x ways tag array and per-entry eviction
+// bookkeeping, plus one record per set with its valid, dirty, pending
+// (back-invalidation in flight) and draining way masks and its replacement
+// policy. The eviction rule's supply and the victim choice are mask
+// operations on that record, not walks over the ways.
+//
 // The class is a template over the memory-backend type, like the slot body
 // (core/slot_body.h) that owns it. The default instantiation
 // (`PartitionedLlc`, Memory = mem::MemoryBackend) dispatches DRAM accesses
@@ -44,8 +51,8 @@
 #include "llc/directory.h"
 #include "llc/partition.h"
 #include "llc/set_sequencer.h"
-#include "mem/cache_set.h"
 #include "mem/memory_backend.h"
+#include "mem/replacement.h"
 
 namespace psllc::llc {
 
@@ -232,8 +239,10 @@ class BasicPartitionedLlc {
   /// scenario setup; private caches must be preloaded separately).
   void preload(LineAddr line, const std::vector<CoreId>& sharers, bool dirty);
 
-  /// Model invariant sweep for property tests: pending-ack counts match
-  /// directory state, pending flags only on valid lines, every line the
+  /// Model invariant sweep for property tests: the dirty, pending and
+  /// draining masks lie within the valid ways, a way is pending exactly
+  /// while it has outstanding acks, an issued drain invalidation is
+  /// pending, pending-ack counts match directory state, every line the
   /// directory tracks is resident (inclusion), sequencer queues only
   /// contain cores with pending requests. Throws AssertionError on
   /// violation.
@@ -250,15 +259,24 @@ class BasicPartitionedLlc {
     Cycle first_presented = kNoCycle;
   };
 
+  /// Eviction bookkeeping of one entry; its flags live in the set's masks.
   struct EntryState {
-    bool pending_inval = false;
     int pending_acks = 0;
-    /// Line is incompatible with the active mode and must leave the cache
-    /// before the drain fence.
-    bool draining = false;
     /// This drain's back-invalidation has been issued (drain bookkeeping
     /// owns the per-core serialization counters).
     bool drain_issued = false;
+  };
+
+  /// Way masks and replacement state of one set. `pending`: a
+  /// back-invalidation is in flight; `draining`: the line is incompatible
+  /// with the active mode and must leave the cache before the drain fence.
+  /// `dirty`, `pending` and `draining` are subsets of `valid`.
+  struct SetState {
+    mem::WayMask valid = 0;
+    mem::WayMask dirty = 0;
+    mem::WayMask pending = 0;
+    mem::WayMask draining = 0;
+    mem::ReplacementPolicy policy;
   };
 
   /// A core's partition under the active map: its id and a copy of its
@@ -274,17 +292,34 @@ class BasicPartitionedLlc {
   /// Rebuilds routes_ from the active map; called whenever mode_index_
   /// moves.
   void rebuild_routes();
-  [[nodiscard]] mem::CacheSet& set_at(int physical_set);
-  [[nodiscard]] const mem::CacheSet& set_at(int physical_set) const;
-  [[nodiscard]] EntryState& entry_state(int physical_set, int way);
-  [[nodiscard]] const EntryState& entry_state(int physical_set, int way) const;
+  [[nodiscard]] SetState& set_at(int physical_set);
+  [[nodiscard]] const SetState& set_at(int physical_set) const;
+  [[nodiscard]] std::size_t index(int physical_set, int way) const {
+    return static_cast<std::size_t>(physical_set) *
+               static_cast<std::size_t>(config_.geometry.num_ways) +
+           static_cast<std::size_t>(way);
+  }
+  [[nodiscard]] LineAddr tag(int physical_set, int way) const {
+    return tags_[index(physical_set, way)];
+  }
+  [[nodiscard]] EntryState& entry_state(int physical_set, int way) {
+    return entry_states_[index(physical_set, way)];
+  }
+  [[nodiscard]] const EntryState& entry_state(int physical_set,
+                                              int way) const {
+    return entry_states_[index(physical_set, way)];
+  }
+  /// Installs `line` into free `way` of `physical_set`; the line must not
+  /// be valid anywhere in the set.
+  void insert_line(int physical_set, int way, LineAddr line, bool dirty);
+  /// Frees `way` of `physical_set`: clears every mask bit and the entry's
+  /// eviction bookkeeping.
+  void invalidate_way(int physical_set, int way);
 
   /// Way holding `line` among `spec`'s ways of `physical_set` (valid only;
   /// includes pending-invalidation entries), or -1.
   [[nodiscard]] int find_way_raw(const PartitionSpec& spec, int physical_set,
                                  LineAddr line) const;
-  [[nodiscard]] int count_pending_invals(const PartitionSpec& spec,
-                                         int physical_set) const;
   [[nodiscard]] int count_pending_requests(int partition,
                                            int physical_set) const;
 
@@ -304,7 +339,7 @@ class BasicPartitionedLlc {
   /// Invalid, unfrozen ways of `spec` in `physical_set`.
   [[nodiscard]] mem::WayMask free_way_mask(const PartitionSpec& spec,
                                            int physical_set) const {
-    return ~set_at(physical_set).valid_mask() & spec.way_mask() &
+    return ~set_at(physical_set).valid & spec.way_mask() &
            ~frozen_ways(physical_set);
   }
   /// (set, way) of `line` anywhere in the cache, or (-1, -1). Acks and
@@ -324,8 +359,11 @@ class BasicPartitionedLlc {
   int mode_index_ = 0;
   ContentionMode mode_;
   Memory* memory_;
-  std::vector<mem::CacheSet> sets_;
-  std::vector<EntryState> entry_states_;  ///< sets x ways, set-major
+  /// Flat tag store: sets x ways, set-major, one tag and one EntryState
+  /// per entry; a tag counts only when its way is valid.
+  std::vector<LineAddr> tags_;
+  std::vector<EntryState> entry_states_;
+  std::vector<SetState> sets_;
   InclusiveDirectory directory_;
   SetSequencer sequencer_;
   std::vector<std::optional<Pending>> pending_;

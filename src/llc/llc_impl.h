@@ -42,14 +42,17 @@ BasicPartitionedLlc<Memory>::BasicPartitionedLlc(const LlcConfig& config,
           program_.geometry().num_ways == config_.geometry.num_ways &&
           program_.geometry().line_bytes == config_.geometry.line_bytes,
       "partition program geometry differs from LLC geometry");
+  const auto entries =
+      static_cast<std::size_t>(config_.geometry.capacity_lines());
+  tags_.resize(entries);
+  entry_states_.resize(entries);
   sets_.reserve(static_cast<std::size_t>(config_.geometry.num_sets));
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
-    sets_.emplace_back(mem::ReplacementPolicy(
-        config_.replacement, config_.geometry.num_ways,
-        mix_seed(config_.seed, static_cast<std::uint64_t>(s), 0x11c)));
+    sets_.push_back(SetState{
+        .policy = mem::ReplacementPolicy(
+            config_.replacement, config_.geometry.num_ways,
+            mix_seed(config_.seed, static_cast<std::uint64_t>(s), 0x11c))});
   }
-  entry_states_.resize(
-      static_cast<std::size_t>(config_.geometry.capacity_lines()));
   rebuild_routes();
 }
 
@@ -84,60 +87,66 @@ void BasicPartitionedLlc<Memory>::rebuild_routes() {
 }
 
 template <typename Memory>
-mem::CacheSet& BasicPartitionedLlc<Memory>::set_at(int physical_set) {
+typename BasicPartitionedLlc<Memory>::SetState&
+BasicPartitionedLlc<Memory>::set_at(int physical_set) {
   PSLLC_ASSERT(physical_set >= 0 && physical_set < config_.geometry.num_sets,
                "set " << physical_set);
   return sets_[static_cast<std::size_t>(physical_set)];
 }
 
 template <typename Memory>
-const mem::CacheSet& BasicPartitionedLlc<Memory>::set_at(
-    int physical_set) const {
+const typename BasicPartitionedLlc<Memory>::SetState&
+BasicPartitionedLlc<Memory>::set_at(int physical_set) const {
   PSLLC_ASSERT(physical_set >= 0 && physical_set < config_.geometry.num_sets,
                "set " << physical_set);
   return sets_[static_cast<std::size_t>(physical_set)];
 }
 
 template <typename Memory>
-typename BasicPartitionedLlc<Memory>::EntryState&
-BasicPartitionedLlc<Memory>::entry_state(int physical_set, int way) {
-  return entry_states_[static_cast<std::size_t>(
-      physical_set * config_.geometry.num_ways + way)];
+void BasicPartitionedLlc<Memory>::insert_line(int physical_set, int way,
+                                              LineAddr line, bool dirty) {
+  SetState& set = set_at(physical_set);
+  const LineAddr* tags = tags_.data() + index(physical_set, 0);
+  PSLLC_ASSERT((set.valid & mem::way_bit(way)) == 0,
+               "way " << way << " already holds line 0x" << std::hex
+                      << tags[way]);
+  for (mem::WayMask m = set.valid; m != 0; m &= m - 1) {
+    PSLLC_ASSERT(tags[mem::lowest_way(m)] != line,
+                 "line 0x" << std::hex << line << " already present in set");
+  }
+  tags_[index(physical_set, way)] = line;
+  set.valid |= mem::way_bit(way);
+  if (dirty) {
+    set.dirty |= mem::way_bit(way);
+  }
+  set.policy.on_insert(way);
 }
 
 template <typename Memory>
-const typename BasicPartitionedLlc<Memory>::EntryState&
-BasicPartitionedLlc<Memory>::entry_state(int physical_set, int way) const {
-  return entry_states_[static_cast<std::size_t>(
-      physical_set * config_.geometry.num_ways + way)];
+void BasicPartitionedLlc<Memory>::invalidate_way(int physical_set, int way) {
+  SetState& set = set_at(physical_set);
+  const mem::WayMask keep = ~mem::way_bit(way);
+  set.valid &= keep;
+  set.dirty &= keep;
+  set.pending &= keep;
+  set.draining &= keep;
+  set.policy.on_invalidate(way);
+  entry_state(physical_set, way) = EntryState{};
 }
 
 template <typename Memory>
 int BasicPartitionedLlc<Memory>::find_way_raw(const PartitionSpec& spec,
                                               int physical_set,
                                               LineAddr line) const {
-  const mem::CacheSet& set = set_at(physical_set);
-  for (mem::WayMask m = set.valid_mask() & spec.way_mask(); m != 0;
+  const LineAddr* tags = tags_.data() + index(physical_set, 0);
+  for (mem::WayMask m = set_at(physical_set).valid & spec.way_mask(); m != 0;
        m &= m - 1) {
     const int w = mem::lowest_way(m);
-    if (set.way(w).line == line) {
+    if (tags[w] == line) {
       return w;
     }
   }
   return -1;
-}
-
-template <typename Memory>
-int BasicPartitionedLlc<Memory>::count_pending_invals(
-    const PartitionSpec& spec, int physical_set) const {
-  // Draining entries count as supply too: the drain frees them, and the
-  // fence (which cannot outlast the drain) unfreezes their slots.
-  int count = 0;
-  for (int w = spec.first_way; w < spec.first_way + spec.num_ways; ++w) {
-    const EntryState& state = entry_state(physical_set, w);
-    count += (state.pending_inval || state.draining) ? 1 : 0;
-  }
-  return count;
 }
 
 template <typename Memory>
@@ -188,7 +197,7 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
               "mapped set " << pset << " escapes partition " << pid << " "
                             << spec.to_string());
   const SetKey key{pid, pset};
-  mem::CacheSet& set = set_at(pset);
+  SetState& set = set_at(pset);
 
   auto& pending = pending_[static_cast<std::size_t>(core.value)];
   if (pending) {
@@ -202,9 +211,9 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
   // --- hit path --- (draining entries are on their way out of the cache
   // and must not serve hits: the requester waits for the fresh fill)
   const int hit_way = find_way_raw(spec, pset, line);
-  if (hit_way >= 0 && !entry_state(pset, hit_way).pending_inval &&
-      !entry_state(pset, hit_way).draining) {
-    set.touch(hit_way);
+  const mem::WayMask leaving = set.pending | set.draining;
+  if (hit_way >= 0 && (leaving & mem::way_bit(hit_way)) == 0) {
+    set.policy.on_access(hit_way);
     (void)directory_.add_sharer_if_absent(line, core);
     if (pending) {
       complete_pending(core, key);
@@ -236,7 +245,7 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
       PSLLC_AUDIT(spec.contains_way(way),
                   "allocated way " << way << " escapes partition " << pid
                                    << " " << spec.to_string());
-      set.insert(line, way, mem::LineState::kClean);
+      insert_line(pset, way, line, /*dirty=*/false);
       directory_.add_sharer(line, core);
       // Fetch from the backing store; latency is absorbed by the slot
       // (validated by the system configuration against the backend's
@@ -268,45 +277,42 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
       sequencer_.enqueue(key, core);
     }
 
+    // Entries pending invalidation or draining count as supply: each is
+    // freed by its last ack or by the drain (and the drain fence, which
+    // cannot outlast the drain, unfreezes drained slots).
+    const mem::WayMask leaving_here =
+        (set.pending | set.draining) & spec.way_mask();
     const int demand = count_pending_requests(pid, pset);
-    const int supply =
-        std::popcount(free) + count_pending_invals(spec, pset);
+    const int supply = std::popcount(free) + std::popcount(leaving_here);
     if (supply >= demand) {
       break;  // enough entries already free or on their way
     }
-    // Select a victim among valid, not-already-pending ways of this
-    // partition.
-    mem::WayMask eligible = 0;
-    for (mem::WayMask m = set.valid_mask() & spec.way_mask(); m != 0;
-         m &= m - 1) {
-      const int w = mem::lowest_way(m);
-      if (!entry_state(pset, w).pending_inval &&
-          !entry_state(pset, w).draining) {
-        eligible |= mem::way_bit(w);
-      }
-    }
+    // Select a victim among valid ways of this partition that are not
+    // already leaving.
+    const mem::WayMask eligible =
+        set.valid & spec.way_mask() & ~leaving_here;
     if (eligible == 0) {
       break;  // every line is already being evicted
     }
-    const int victim = set.select_victim(eligible);
+    const int victim = set.policy.select_victim(eligible);
     PSLLC_ASSERT(victim >= 0, "victim selection failed with eligible ways");
     PSLLC_AUDIT(spec.contains_way(victim),
                 "victim way " << victim << " escapes partition " << pid << " "
                               << spec.to_string());
-    const LineAddr victim_line = set.way(victim).line;
+    const LineAddr victim_line = tag(pset, victim);
     const CoreMask owners = directory_.sharer_mask(victim_line);
     ++stats_.evictions_started;
     if (owners == 0) {
       // No private copies: the entry is reusable within this slot; dirty
       // data drains to DRAM off the critical path.
-      if (set.way(victim).dirty()) {
+      if ((set.dirty & mem::way_bit(victim)) != 0) {
         (void)memory_->write(victim_line, now);
       }
-      set.invalidate(victim);
+      invalidate_way(pset, victim);
       ++stats_.immediate_frees;
       continue;  // re-check allocation with the freed way
     }
-    entry_state(pset, victim).pending_inval = true;
+    set.pending |= mem::way_bit(victim);
     entry_state(pset, victim).pending_acks = std::popcount(owners);
     outcome.back_invalidation = BackInvalidation{victim_line, owners};
     PSLLC_TRACE("LLC: evicting 0x" << std::hex << victim_line << std::dec
@@ -360,7 +366,8 @@ WritebackOutcome BasicPartitionedLlc<Memory>::handle_writeback(
   PSLLC_ASSERT(way >= 0, "voluntary write-back for line 0x"
                              << std::hex << line
                              << " absent from inclusive LLC");
-  PSLLC_ASSERT(!entry_state(pset, way).pending_inval,
+  SetState& set = set_at(pset);
+  PSLLC_ASSERT((set.pending & mem::way_bit(way)) == 0,
                "voluntary write-back raced a back-invalidation for line 0x"
                    << std::hex << line
                    << " — should have been upgraded to freeing");
@@ -368,7 +375,7 @@ WritebackOutcome BasicPartitionedLlc<Memory>::handle_writeback(
   PSLLC_ASSERT(removed, to_string(core) << " wrote back line 0x" << std::hex
                                         << line << " it did not share");
   if (carries_dirty_data) {
-    set_at(pset).mark_dirty(way);
+    set.dirty |= mem::way_bit(way);
   }
   return WritebackOutcome{false};
 }
@@ -388,8 +395,9 @@ WritebackOutcome BasicPartitionedLlc<Memory>::apply_back_inval_ack(
   }
   PSLLC_ASSERT(way >= 0, "back-invalidation ack for line 0x"
                              << std::hex << line << " not in LLC");
+  SetState& set = set_at(pset);
   EntryState& state = entry_state(pset, way);
-  PSLLC_ASSERT(state.pending_inval,
+  PSLLC_ASSERT((set.pending & mem::way_bit(way)) != 0,
                "ack for line 0x" << std::hex << line
                                  << " that is not pending invalidation");
   PSLLC_ASSERT(state.pending_acks > 0, "pending_acks underflow");
@@ -402,9 +410,8 @@ WritebackOutcome BasicPartitionedLlc<Memory>::apply_back_inval_ack(
   PSLLC_ASSERT(removed, to_string(core)
                             << " acked line 0x" << std::hex << line
                             << " it did not share");
-  mem::CacheSet& set = set_at(pset);
   if (dirty_data) {
-    set.mark_dirty(way);
+    set.dirty |= mem::way_bit(way);
   }
   --state.pending_acks;
   if (state.pending_acks > 0) {
@@ -413,14 +420,13 @@ WritebackOutcome BasicPartitionedLlc<Memory>::apply_back_inval_ack(
   // Last ack: the entry becomes free. Dirty data drains to DRAM.
   PSLLC_ASSERT(directory_.sharer_count(line) == 0,
                "directory still has sharers after the last ack");
-  if (state.draining) {
+  if ((set.draining & mem::way_bit(way)) != 0) {
     free_drained_entry(pset, way, now);
   } else {
-    if (set.way(way).dirty()) {
+    if ((set.dirty & mem::way_bit(way)) != 0) {
       (void)memory_->write(line, now);
     }
-    set.invalidate(way);
-    state = EntryState{};
+    invalidate_way(pset, way);
   }
   return WritebackOutcome{true};
 }
@@ -457,16 +463,19 @@ void BasicPartitionedLlc<Memory>::drop_pending_request(CoreId core) {
 template <typename Memory>
 typename BasicPartitionedLlc<Memory>::EntryView
 BasicPartitionedLlc<Memory>::entry(int physical_set, int way) const {
-  const mem::CacheSet& set = set_at(physical_set);
-  const mem::LineMeta& meta = set.way(way);
+  const SetState& set = set_at(physical_set);
+  PSLLC_ASSERT(way >= 0 && way < config_.geometry.num_ways,
+               "way " << way << " out of range [0,"
+                      << config_.geometry.num_ways << ")");
+  const mem::WayMask bit = mem::way_bit(way);
   EntryView view;
-  view.valid = meta.valid();
+  view.valid = (set.valid & bit) != 0;
   if (view.valid) {
-    view.line = meta.line;
-    view.dirty = meta.dirty();
-    view.pending_inval = entry_state(physical_set, way).pending_inval;
+    view.line = tag(physical_set, way);
+    view.dirty = (set.dirty & bit) != 0;
+    view.pending_inval = (set.pending & bit) != 0;
     view.pending_acks = entry_state(physical_set, way).pending_acks;
-    view.sharers = directory_.sharers(meta.line);
+    view.sharers = directory_.sharers(view.line);
   }
   return view;
 }
@@ -514,8 +523,7 @@ void BasicPartitionedLlc<Memory>::preload(LineAddr line,
                "preload of already-present line");
   const mem::WayMask free = free_way_mask(spec, pset);
   PSLLC_ASSERT(free != 0, "preload into a full set");
-  set_at(pset).insert(line, mem::lowest_way(free),
-                      dirty ? mem::LineState::kDirty : mem::LineState::kClean);
+  insert_line(pset, mem::lowest_way(free), line, dirty);
   for (CoreId c : sharers) {
     PSLLC_ASSERT(partitions().partition_of(c) == pid,
                  "preload sharers must share one partition");
@@ -529,9 +537,9 @@ template <typename Memory>
 std::pair<int, int> BasicPartitionedLlc<Memory>::locate_line(
     LineAddr line) const {
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
-    const mem::CacheSet& set = set_at(s);
-    for (int w = 0; w < config_.geometry.num_ways; ++w) {
-      if (set.way(w).valid() && set.way(w).line == line) {
+    for (mem::WayMask m = set_at(s).valid; m != 0; m &= m - 1) {
+      const int w = mem::lowest_way(m);
+      if (tag(s, w) == line) {
         return {s, w};
       }
     }
@@ -542,18 +550,19 @@ std::pair<int, int> BasicPartitionedLlc<Memory>::locate_line(
 template <typename Memory>
 bool BasicPartitionedLlc<Memory>::entry_compatible(int physical_set,
                                                    int way) const {
-  const mem::LineMeta& meta = set_at(physical_set).way(way);
-  PSLLC_ASSERT(meta.valid(), "compatibility check on an invalid entry");
+  PSLLC_ASSERT((set_at(physical_set).valid & mem::way_bit(way)) != 0,
+               "compatibility check on an invalid entry");
+  const LineAddr line = tag(physical_set, way);
   const PartitionMap& map = partitions();
   for (int p = 0; p < map.num_partitions(); ++p) {
     const PartitionSpec& spec = map.spec(p);
     if (!spec.contains_set(physical_set) || !spec.contains_way(way)) {
       continue;
     }
-    if (spec.map_set(meta.line) != physical_set) {
+    if (spec.map_set(line) != physical_set) {
       return false;  // placed where the new mapping would not place it
     }
-    for (CoreMask m = directory_.sharer_mask(meta.line); m != 0;
+    for (CoreMask m = directory_.sharer_mask(line); m != 0;
          m &= m - 1) {
       if (map.partition_of(lowest_core(m)) != p) {
         return false;  // privately held by a core outside this partition
@@ -636,17 +645,18 @@ void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
   draining_lines_.clear();
   drain_remaining_ = 0;
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
-    for (int w = 0; w < config_.geometry.num_ways; ++w) {
-      if (!set_at(s).way(w).valid() || entry_compatible(s, w)) {
+    SetState& set = set_at(s);
+    for (mem::WayMask m = set.valid; m != 0; m &= m - 1) {
+      const int w = mem::lowest_way(m);
+      if (entry_compatible(s, w)) {
         continue;
       }
-      EntryState& state = entry_state(s, w);
-      state.draining = true;
+      set.draining |= mem::way_bit(w);
       // Evictions already in flight keep their issued acks; the drain
       // only adopts them (drain_issued stays false — their owners were
       // charged by the original eviction, not the drain serializer).
       drain_queue_.emplace_back(s, w);
-      draining_lines_.insert(set_at(s).way(w).line);
+      draining_lines_.insert(tag(s, w));
       ++drain_remaining_;
     }
   }
@@ -670,15 +680,15 @@ template <typename Memory>
 void BasicPartitionedLlc<Memory>::pump_drain(
     Cycle slot_start, std::vector<BackInvalidation>& out) {
   for (const auto& [s, w] : drain_queue_) {
-    const mem::CacheSet& set = set_at(s);
-    EntryState& state = entry_state(s, w);
-    if (!set.way(w).valid() || !state.draining) {
+    SetState& set = set_at(s);
+    const mem::WayMask bit = mem::way_bit(w);
+    if ((set.draining & bit) == 0) {
       continue;  // already freed by an earlier ack or pump
     }
-    if (state.pending_inval) {
+    if ((set.pending & bit) != 0) {
       continue;  // invalidation in flight (drain-issued or pre-transition)
     }
-    const LineAddr line = set.way(w).line;
+    const LineAddr line = tag(s, w);
     const CoreMask owners = directory_.sharer_mask(line);
     if (owners == 0) {
       // No private copies: free within this slot; dirty data drains
@@ -698,7 +708,8 @@ void BasicPartitionedLlc<Memory>::pump_drain(
     if (!owners_free) {
       continue;
     }
-    state.pending_inval = true;
+    set.pending |= bit;
+    EntryState& state = entry_state(s, w);
     state.pending_acks = std::popcount(owners);
     state.drain_issued = true;
     for (CoreMask m = owners; m != 0; m &= m - 1) {
@@ -712,9 +723,8 @@ void BasicPartitionedLlc<Memory>::pump_drain(
 template <typename Memory>
 void BasicPartitionedLlc<Memory>::free_drained_entry(int physical_set,
                                                      int way, Cycle now) {
-  mem::CacheSet& set = set_at(physical_set);
-  const LineAddr line = set.way(way).line;
-  if (set.way(way).dirty()) {
+  const LineAddr line = tag(physical_set, way);
+  if ((set_at(physical_set).dirty & mem::way_bit(way)) != 0) {
     (void)memory_->write(line, now);
     ++stats_.drain_writebacks;
     // Drain write-backs go through the same bounded write queue as demand
@@ -725,8 +735,7 @@ void BasicPartitionedLlc<Memory>::free_drained_entry(int physical_set,
                     << memory_->pending_queue_depth() << " > "
                     << memory_->config().wq_capacity);
   }
-  set.invalidate(way);
-  entry_state(physical_set, way) = EntryState{};
+  invalidate_way(physical_set, way);
   draining_lines_.erase(line);
   PSLLC_ASSERT(drain_remaining_ > 0, "drain_remaining underflow");
   --drain_remaining_;
@@ -746,12 +755,11 @@ void BasicPartitionedLlc<Memory>::complete_transition(Cycle slot_start) {
   // Containment after the fence: every resident line (modulo evictions
   // still in flight) sits inside its current mode's rectangle.
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
-    for (int w = 0; w < config_.geometry.num_ways; ++w) {
-      if (!set_at(s).way(w).valid() || entry_state(s, w).pending_inval) {
-        continue;
-      }
+    const SetState& set = set_at(s);
+    for (mem::WayMask m = set.valid & ~set.pending; m != 0; m &= m - 1) {
+      const int w = mem::lowest_way(m);
       PSLLC_AUDIT(entry_compatible(s, w),
-                  "line 0x" << std::hex << set_at(s).way(w).line << std::dec
+                  "line 0x" << std::hex << tag(s, w) << std::dec
                             << " at set " << s << " way " << w
                             << " outside its mode-" << mode_index_
                             << " rectangle after the drain fence");
@@ -775,26 +783,28 @@ template <typename Memory>
 void BasicPartitionedLlc<Memory>::check_invariants() const {
   std::vector<LineAddr> resident;
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
-    const mem::CacheSet& set = set_at(s);
+    const SetState& set = set_at(s);
+    PSLLC_ASSERT(((set.dirty | set.pending | set.draining) & ~set.valid) == 0,
+                 "dirty, pending or draining mask outside the valid ways at "
+                 "set " << s);
     for (int w = 0; w < config_.geometry.num_ways; ++w) {
       const EntryState& state = entry_state(s, w);
-      if (!set.way(w).valid()) {
-        PSLLC_ASSERT(!state.pending_inval && state.pending_acks == 0,
-                     "invalid entry with pending eviction state at set "
-                         << s << " way " << w);
+      const bool pending = (set.pending & mem::way_bit(w)) != 0;
+      PSLLC_ASSERT(pending == (state.pending_acks > 0),
+                   "pending bit " << pending << " with " << state.pending_acks
+                                  << " outstanding acks at set " << s
+                                  << " way " << w);
+      PSLLC_ASSERT(!state.drain_issued || pending,
+                   "drain back-invalidation issued but not pending at set "
+                       << s << " way " << w);
+      if ((set.valid & mem::way_bit(w)) == 0) {
         continue;
       }
-      resident.push_back(set.way(w).line);
-      if (state.pending_inval) {
-        PSLLC_ASSERT(state.pending_acks > 0,
-                     "pending invalidation without outstanding acks");
-        PSLLC_ASSERT(state.pending_acks ==
-                         directory_.sharer_count(set.way(w).line),
+      resident.push_back(tag(s, w));
+      if (pending) {
+        PSLLC_ASSERT(state.pending_acks == directory_.sharer_count(tag(s, w)),
                      "pending_acks diverged from directory sharers for "
-                     "line 0x" << std::hex << set.way(w).line);
-      } else {
-        PSLLC_ASSERT(state.pending_acks == 0,
-                     "acks outstanding without pending invalidation");
+                     "line 0x" << std::hex << tag(s, w));
       }
     }
   }

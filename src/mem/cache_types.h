@@ -1,4 +1,4 @@
-// Basic cache modeling types: line metadata, geometry, latencies.
+// Basic cache modeling types: way masks, geometry, replacement kinds.
 #ifndef PSLLC_MEM_CACHE_TYPES_H_
 #define PSLLC_MEM_CACHE_TYPES_H_
 
@@ -10,32 +10,6 @@
 #include "common/types.h"
 
 namespace psllc::mem {
-
-/// Validity/dirtiness of one cache line. The simulator tracks metadata only;
-/// data payloads are irrelevant to timing.
-enum class LineState : std::uint8_t {
-  kInvalid,
-  kClean,
-  kDirty,
-};
-
-[[nodiscard]] constexpr const char* to_string(LineState s) {
-  switch (s) {
-    case LineState::kInvalid: return "I";
-    case LineState::kClean: return "C";
-    case LineState::kDirty: return "D";
-  }
-  return "?";
-}
-
-/// Metadata of one cache line (tag store entry).
-struct LineMeta {
-  LineAddr line = 0;                    ///< full line address (tag)
-  LineState state = LineState::kInvalid;
-
-  [[nodiscard]] bool valid() const { return state != LineState::kInvalid; }
-  [[nodiscard]] bool dirty() const { return state == LineState::kDirty; }
-};
 
 /// One bit per way of a set (bit w = way w). Replacement policies pick
 /// victims from such a mask, so a set has at most kMaxWays ways.

@@ -10,9 +10,9 @@
 // array plus one record per set holding its valid and dirty way masks and
 // its replacement state. An access computes each level's set index once and
 // probes each level at most once; an L2 hit installs into L1 at the set the
-// L1 probe already found. (The partitioned LLC in src/llc builds on
-// CacheSet instead, because partitions restrict both the set range and the
-// way range.)
+// L1 probe already found. (The partitioned LLC in src/llc keeps the same
+// kind of flat store, with the extra per-set masks its eviction and drain
+// protocols need.)
 #ifndef PSLLC_MEM_PRIVATE_CACHE_H_
 #define PSLLC_MEM_PRIVATE_CACHE_H_
 

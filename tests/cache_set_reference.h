@@ -1,17 +1,39 @@
-// One set of a set-associative cache: line metadata plus replacement state.
-// The per-access members are defined here so they inline into the private
-// caches and the LLC.
-#ifndef PSLLC_MEM_CACHE_SET_H_
-#define PSLLC_MEM_CACHE_SET_H_
+// Reference model of one set-associative cache set: a per-set vector of
+// line metadata plus the set's replacement policy, every operation checked.
+// The simulator's caches (mem::CacheLevel, llc::BasicPartitionedLlc) keep
+// flat tag stores with per-set way masks instead; tests use this plain form
+// as the straightforward reference they are checked against.
+#ifndef PSLLC_TESTS_CACHE_SET_REFERENCE_H_
+#define PSLLC_TESTS_CACHE_SET_REFERENCE_H_
 
 #include <bit>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "common/assert.h"
+#include "common/types.h"
 #include "mem/cache_types.h"
 #include "mem/replacement.h"
 
 namespace psllc::mem {
+
+/// Validity/dirtiness of one cache line. The simulator tracks metadata only;
+/// data payloads are irrelevant to timing.
+enum class LineState : std::uint8_t {
+  kInvalid,
+  kClean,
+  kDirty,
+};
+
+/// Metadata of one cache line (tag store entry).
+struct LineMeta {
+  LineAddr line = 0;                    ///< full line address (tag)
+  LineState state = LineState::kInvalid;
+
+  [[nodiscard]] bool valid() const { return state != LineState::kInvalid; }
+  [[nodiscard]] bool dirty() const { return state == LineState::kDirty; }
+};
 
 class CacheSet {
  public:
@@ -124,4 +146,4 @@ class CacheSet {
 
 }  // namespace psllc::mem
 
-#endif  // PSLLC_MEM_CACHE_SET_H_
+#endif  // PSLLC_TESTS_CACHE_SET_REFERENCE_H_

@@ -1,5 +1,5 @@
-// Tests for CacheSet and the private hierarchy's CacheLevel: lookup,
-// fill/evict, dirtiness, set mapping and geometry validation.
+// Tests for the private hierarchy's CacheLevel: lookup, fill/evict,
+// dirtiness, set mapping and geometry validation.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -7,83 +7,10 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "mem/cache_set.h"
 #include "mem/private_cache.h"
 
 namespace psllc::mem {
 namespace {
-
-CacheSet make_set(int ways) {
-  return CacheSet(ReplacementPolicy(ReplacementKind::kLru, ways));
-}
-
-// --- CacheSet ----------------------------------------------------------------
-
-TEST(CacheSet, InsertFindInvalidate) {
-  CacheSet set = make_set(2);
-  EXPECT_EQ(set.find(0x10), -1);
-  EXPECT_EQ(set.find_free(), 0);
-  set.insert(0x10, 0, LineState::kClean);
-  EXPECT_EQ(set.find(0x10), 0);
-  EXPECT_EQ(set.valid_count(), 1);
-  const LineMeta old = set.invalidate(0);
-  EXPECT_EQ(old.line, 0x10u);
-  EXPECT_EQ(set.find(0x10), -1);
-}
-
-TEST(CacheSet, RejectsDuplicateLine) {
-  CacheSet set = make_set(2);
-  set.insert(0x10, 0, LineState::kClean);
-  EXPECT_THROW(set.insert(0x10, 1, LineState::kClean), AssertionError);
-}
-
-TEST(CacheSet, RejectsInsertIntoOccupiedWay) {
-  CacheSet set = make_set(2);
-  set.insert(0x10, 0, LineState::kClean);
-  EXPECT_THROW(set.insert(0x20, 0, LineState::kClean), AssertionError);
-}
-
-TEST(CacheSet, DirtyTransitions) {
-  CacheSet set = make_set(1);
-  set.insert(0x1, 0, LineState::kClean);
-  EXPECT_FALSE(set.way(0).dirty());
-  set.mark_dirty(0);
-  EXPECT_TRUE(set.way(0).dirty());
-  set.mark_clean(0);
-  EXPECT_FALSE(set.way(0).dirty());
-}
-
-TEST(CacheSet, VictimMaskRejectsInvalidWays) {
-  CacheSet set = make_set(2);
-  set.insert(0x1, 0, LineState::kClean);
-  EXPECT_THROW((void)set.select_victim(0b11), AssertionError);  // way 1 invalid
-  EXPECT_THROW((void)set.select_victim(0b100), AssertionError);  // no way 2
-  EXPECT_EQ(set.select_victim(0b1), 0);
-}
-
-TEST(CacheSet, ValidMaskTracksInsertAndInvalidate) {
-  CacheSet set = make_set(3);
-  set.insert(0x1, 2, LineState::kClean);
-  set.insert(0x2, 0, LineState::kDirty);
-  EXPECT_EQ(set.valid_mask(), 0b101u);
-  EXPECT_EQ(set.find_free(), 1);
-  set.mark_clean(0);
-  EXPECT_EQ(set.valid_mask(), 0b101u);
-  (void)set.invalidate(2);
-  EXPECT_EQ(set.valid_mask(), 0b1u);
-  EXPECT_EQ(set.valid_count(), 1);
-  EXPECT_EQ(set.find_free(), 1);
-}
-
-TEST(CacheSet, CopyGetsIndependentPolicy) {
-  CacheSet a = make_set(2);
-  a.insert(0x1, 0, LineState::kClean);
-  a.insert(0x2, 1, LineState::kClean);
-  CacheSet b = a;
-  a.touch(0);  // a's LRU = way 1; b's LRU unchanged = way 0
-  EXPECT_EQ(a.select_victim_any(), 1);
-  EXPECT_EQ(b.select_victim_any(), 0);
-}
 
 // --- CacheLevel (one private-hierarchy level) ------------------------------
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <deque>
 #include <set>
+#include <string>
 
 #include "common/assert.h"
 #include "common/fixed_queue.h"
@@ -52,6 +53,64 @@ TEST(Assert, ThrowsAssertionErrorWithContext) {
   } catch (const AssertionError& e) {
     EXPECT_NE(std::string(e.what()).find("value was 42"), std::string::npos);
   }
+}
+
+// The failure path runs out of line, but its message still names the
+// expression, the asserting file and line, and the streamed context.
+TEST(Assert, FailureMessageNamesExpressionLocationAndContext) {
+  const int line = __LINE__ + 2;
+  try {
+    PSLLC_ASSERT(2 + 2 == 5, "way " << 3 << " of " << 16);
+    FAIL() << "assert did not throw";
+  } catch (const AssertionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(2 + 2 == 5)"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string(__FILE__) + ":" + std::to_string(line)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("way 3 of 16"), std::string::npos) << what;
+  }
+}
+
+// The condition runs exactly once; the message operands only on failure.
+TEST(Assert, EvaluatesConditionOnceAndMessageOnlyOnFailure) {
+  int conditions = 0;
+  int messages = 0;
+  auto condition = [&conditions](bool result) {
+    ++conditions;
+    return result;
+  };
+  auto message = [&messages]() { return ++messages; };
+  PSLLC_ASSERT(condition(true), "never formatted " << message());
+  EXPECT_EQ(conditions, 1);
+  EXPECT_EQ(messages, 0);
+  EXPECT_THROW(PSLLC_ASSERT(condition(false), "formatted " << message()),
+               AssertionError);
+  EXPECT_EQ(conditions, 2);
+  EXPECT_EQ(messages, 1);
+}
+
+// The macro is one statement: it can be the unbraced body of if / else.
+TEST(Assert, WorksAsUnbracedIfElseBody) {
+  int taken = 0;
+  for (const bool flag : {true, false}) {
+    if (flag)
+      PSLLC_ASSERT(taken >= 0, "then branch");
+    else
+      PSLLC_ASSERT(taken >= 0, "else branch");
+    ++taken;
+  }
+  EXPECT_EQ(taken, 2);
+  bool threw = false;
+  try {
+    if (taken == 2)
+      PSLLC_ASSERT(taken == 3, "taken is " << taken);
+    else
+      FAIL() << "else bound to the macro's own if";
+  } catch (const AssertionError& e) {
+    threw = std::string(e.what()).find("taken is 2") != std::string::npos;
+  }
+  EXPECT_TRUE(threw);
 }
 
 TEST(Assert, ConfigCheckThrowsConfigError) {

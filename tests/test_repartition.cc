@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system.h"
@@ -206,6 +207,77 @@ TEST(LlcRoutes, FollowTheActiveModeAfterASwitch) {
     }
   }
   llc.check_invariants();
+}
+
+// Set 0's ways 0-1 hold c0's lines A and B, way 2 holds c1's line C. At
+// cycle 100 ways 0-2 pass to {c1, c2} (all three frozen), so A and B must
+// drain; the drain serializer issues A's invalidation and holds B's until
+// c0 answers. B is then draining without a pending invalidation.
+class LlcDrain : public ::testing::Test {
+ protected:
+  static constexpr LineAddr kA = 0x100;
+  static constexpr LineAddr kB = 0x200;
+  static constexpr LineAddr kC = 0x300;
+
+  LlcDrain()
+      : llc_(llc::LlcConfig{}, program(), llc::ContentionMode::kSetSequencer,
+             3, dram_) {
+    llc_.preload(kA, {CoreId{0}}, /*dirty=*/true);
+    llc_.preload(kB, {CoreId{0}}, /*dirty=*/false);
+    llc_.preload(kC, {CoreId{1}}, /*dirty=*/false);
+    const auto invals = llc_.advance_transition(100);
+    EXPECT_EQ(invals.size(), 1u);  // c0 has one drain inval at a time
+    EXPECT_TRUE(llc_.transition_active());
+    EXPECT_TRUE(llc_.entry(0, 0).pending_inval);   // A: issued
+    EXPECT_FALSE(llc_.entry(0, 1).pending_inval);  // B: draining, waiting
+    EXPECT_EQ(llc_.entry(0, 2).line, kC);
+    llc_.check_invariants();
+  }
+
+  static llc::PartitionProgram program() {
+    const mem::CacheGeometry geometry = llc::LlcConfig{}.geometry;
+    llc::PartitionMap initial(geometry);
+    initial.add_partition(llc::PartitionSpec{0, 1, 0, 2}, {CoreId{0}});
+    initial.add_partition(llc::PartitionSpec{0, 1, 2, 1},
+                          {CoreId{1}, CoreId{2}});
+    llc::PartitionMap moved(geometry);
+    moved.add_partition(llc::PartitionSpec{0, 1, 0, 3},
+                        {CoreId{1}, CoreId{2}});
+    moved.add_partition(llc::PartitionSpec{1, 1, 0, 2}, {CoreId{0}});
+    llc::PartitionProgram program(initial);
+    program.add_mode(moved, 100, {}, "moved");
+    return program;
+  }
+
+  mem::FixedLatencyBackend dram_{mem::DramConfig{}};
+  llc::PartitionedLlc llc_;
+};
+
+// A draining line is supply for the eviction rule even before its drain
+// invalidation is issued: two requests wait on set 0 with A and B on their
+// way out, so no new eviction starts. (A supply that counted only pending
+// invalidations would see one entry for two waiters and evict C.)
+TEST_F(LlcDrain, UnissuedDrainCountsAsSupply) {
+  for (const auto& [core, line] : {std::pair{CoreId{1}, LineAddr{0x400}},
+                                   std::pair{CoreId{2}, LineAddr{0x500}}}) {
+    const llc::RequestOutcome outcome = llc_.handle_request(core, line, 150);
+    EXPECT_EQ(outcome.status, llc::RequestOutcome::Status::kBlocked);
+    EXPECT_FALSE(outcome.back_invalidation.has_value()) << to_string(core);
+  }
+  EXPECT_EQ(llc_.stats().evictions_started, 0);
+  EXPECT_FALSE(llc_.entry(0, 2).pending_inval);  // C untouched
+  llc_.check_invariants();
+}
+
+// A draining line must not serve hits, even inside the requester's new
+// ways and with no invalidation issued yet: the requester waits for the
+// line to leave and be fetched again.
+TEST_F(LlcDrain, DrainingLineServesNoHit) {
+  const llc::RequestOutcome outcome = llc_.handle_request(CoreId{1}, kB, 150);
+  EXPECT_EQ(outcome.status, llc::RequestOutcome::Status::kBlocked);
+  EXPECT_EQ(llc_.stats().hit_presentations, 0);
+  EXPECT_TRUE(llc_.has_pending_request(CoreId{1}));
+  llc_.check_invariants();
 }
 
 // Program validation: epochs must strictly increase and mode 0 starts at 0.

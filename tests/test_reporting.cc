@@ -44,7 +44,6 @@ TEST(Rendering, PartitionSpecToString) {
 }
 
 TEST(Rendering, EnumNames) {
-  EXPECT_STREQ(mem::to_string(mem::LineState::kDirty), "D");
   EXPECT_STREQ(mem::to_string(mem::ReplacementKind::kTreePlru), "TREE_PLRU");
   EXPECT_STREQ(mem::to_string(mem::HitLevel::kL2), "L2");
   EXPECT_STREQ(llc::to_string(llc::ContentionMode::kSetSequencer), "SS");

@@ -4,7 +4,11 @@
 // and buffer bounds must hold at all times, not just at the end.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "core/system.h"
+#include "llc/partition.h"
 #include "mem/memory_backend.h"
 #include "sim/experiment.h"
 #include "sim/workload.h"
@@ -87,6 +91,51 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Repartitioning under dirty traffic: a way-bounced mode and a restore,
+// each draining dirty, privately shared lines. While a drain is active the
+// LLC's per-set pending/draining masks and per-entry ack bookkeeping change
+// almost every slot, so the sweep runs every slot then (every period
+// otherwise) and must hold through both drains and their fences.
+TEST(StressInvariantsRepartition, HoldEverySlotWhileDraining) {
+  for (const char* notation : {"SS(32,2,4)", "NSS(32,2,4)", "P(8,2)"}) {
+    ExperimentSetup setup = make_paper_setup(notation, 4);
+    const llc::PartitionMap initial = setup.partitions();
+    const Cycle epoch = Cycle{40} * setup.config.slot_width;
+    llc::PartitionProgram program(initial);
+    program.add_mode(llc::make_way_bounced_map(initial, 2), epoch, {},
+                     "bounce");
+    program.add_mode(initial, 3 * epoch, {}, "restore");
+    setup.program = std::move(program);
+    System system(setup);
+    const int period = system.schedule().slots_per_period();
+    std::int64_t drain_checks = 0;
+    system.add_slot_observer([&](const SlotEvent& event) {
+      const bool draining = system.llc().transition_active();
+      if (!draining && event.slot_index % period != 0) {
+        return;
+      }
+      drain_checks += draining ? 1 : 0;
+      system.llc().check_invariants();
+    });
+    sim::RandomWorkloadOptions workload;
+    workload.range_bytes = 16384;
+    workload.accesses = 3000;
+    workload.write_fraction = 0.8;
+    const auto traces = sim::make_disjoint_random_workload(4, workload, 110);
+    for (int c = 0; c < 4; ++c) {
+      system.set_trace(CoreId{c}, traces[static_cast<std::size_t>(c)]);
+    }
+    ASSERT_TRUE(system.run(2'000'000'000).all_done) << notation;
+    system.llc().check_invariants();
+    const llc::LlcStats& stats = system.llc().stats();
+    EXPECT_EQ(stats.repartitions, 2) << notation;
+    EXPECT_GT(stats.drain_writebacks, 0) << notation;  // dirty lines drained
+    EXPECT_GT(stats.drain_back_invals, 0) << notation;
+    EXPECT_GT(drain_checks, 50) << notation;
+    EXPECT_FALSE(system.llc().transition_active()) << notation;
+  }
+}
 
 // Write-queue backend under saturated dirty-eviction traffic: a write-heavy
 // workload on a one-set shared partition maximizes dirty LLC evictions, all

@@ -13,9 +13,12 @@ records the host, compiler, build type and commit of the measured checkout
 metrics, per metric the median and the interquartile range, and under
 `layers` the median of each per-layer metric over the traced runs, with
 each traced run's pass count (the timing medians span that many passes;
-counts come from the last one). <n> is --index, else one past the highest
-index already recorded. The file goes to the root of the repository
-holding this script.
+counts come from the last one). Under `wall_times` it records the wall
+time of the quick `run_all` grid and of the Tier-1 ctest run, 3 runs each
+(median, interquartile range and every run), from a Release build of the
+whole checkout under .bench_build/release. <n> is --index, else one past
+the highest index already recorded. The file goes to the root of the
+repository holding this script.
 """
 
 import argparse
@@ -27,12 +30,15 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sweep_dense", "corpus_periodic", "adversary_search")
 SEED = 1
 RUNS = 5
 TRACED_RUNS = 3
+WALL_RUNS = 3
 
 
 def fail(message):
@@ -168,6 +174,50 @@ def summarize(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def release_build(checkout):
+    """Configures and builds the whole checkout (Release, tests included)
+    next to the perfbench build; returns the build directory."""
+    path = os.path.join(os.path.dirname(build_dir(checkout)), "release")
+    jobs = str(os.cpu_count() or 1)
+    for cmd in (["cmake", "-S", checkout, "-B", path,
+                 "-DCMAKE_BUILD_TYPE=Release"],
+                ["cmake", "--build", path, "-j", jobs]):
+        if subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode != 0:
+            fail("%s failed" % " ".join(cmd))
+    return path
+
+
+def timed(cmd, cwd):
+    """Wall seconds of one run of `cmd`; fails when it exits nonzero."""
+    start = time.monotonic()
+    proc = subprocess.run(cmd, cwd=cwd, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    elapsed = time.monotonic() - start
+    if proc.returncode != 0:
+        fail("%s exited %d" % (" ".join(cmd), proc.returncode))
+    return elapsed
+
+
+def wall_times(checkout):
+    """WALL_RUNS timed runs each of the quick run_all grid (into a fresh
+    results directory) and of the Tier-1 ctest run."""
+    build = release_build(checkout)
+    jobs = str(os.cpu_count() or 1)
+    runs = {"run_all_quick_s": [], "tier1_ctest_s": []}
+    for i in range(WALL_RUNS):
+        with tempfile.TemporaryDirectory() as results:
+            runs["run_all_quick_s"].append(timed(
+                [os.path.join(build, "run_all"), "--profile", "quick",
+                 "--results-dir", results], build))
+        runs["tier1_ctest_s"].append(timed(
+            ["ctest", "-j", jobs, "--output-on-failure"], build))
+        print("wall run %d/%d: run_all quick %.2f s, ctest %.2f s" % (
+            i + 1, WALL_RUNS, runs["run_all_quick_s"][-1],
+            runs["tier1_ctest_s"][-1]), flush=True)
+    return {name: dict(unit="s", runs=values, **summarize(values))
+            for name, values in runs.items()}
+
+
 def next_index():
     indices = [int(m.group(1)) for path in
                glob.glob(os.path.join(ROOT, "BENCH_*_*.json"))
@@ -212,6 +262,7 @@ def main():
         row["layers"] = layer_row(checkout, workload, seconds)
         rows[workload] = row
 
+    walls = wall_times(checkout)
     index = args.index if args.index is not None else next_index()
     record = {
         "index": index,
@@ -223,6 +274,8 @@ def main():
         "seconds": seconds,
         "runs_per_workload": RUNS,
         "traced_runs_per_workload": TRACED_RUNS,
+        "wall_runs": WALL_RUNS,
+        "wall_times": walls,
         "workloads": rows,
     }
     path = os.path.join(ROOT, "BENCH_%d_%s.json" % (index, short))
