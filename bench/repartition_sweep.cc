@@ -1,12 +1,13 @@
 // Repartition sweep — dynamic repartitioning under load. Runs two-transition
 // partition programs (initial -> way-bounced -> restored) over a grid of
 // way-bounce counts x trigger cadences x app-class clusterings, replaying
-// every cell on BOTH engines, and gates the two dynamic-repartitioning
+// every cell twice — skipping idle slots (sim::replay) and stepping every
+// slot (sim::replay_every_slot) — and gates the two dynamic-repartitioning
 // claims: the observed transient WCL (requests in flight across a
 // drain/flush window) stays at or below the analytical transient bound
-// (core/wcl_analysis transient_wcl_cycles), and the struct-of-arrays replay
-// kernel stays bit-identical to the legacy core::System slot loop across
-// every transition.
+// (core/wcl_analysis transient_wcl_cycles), and the two replays agree on
+// every RunMetrics field across every transition. The stored claim and
+// column names keep their engine wording.
 //
 // The sweep is cell-sharded: one work unit per grid cell (sim/shard.h),
 // one row per cell, so global row ordinals equal cell ordinals and
@@ -98,36 +99,6 @@ enum class Clustering { kClustered, kMixed };
     }
   }
   return traces;
-}
-
-/// The fields the engine contract pins: everything RunMetrics carries that
-/// both engines fill. A mismatch in any of them fails the bit-identity
-/// claim for the cell.
-[[nodiscard]] bool metrics_identical(const RunMetrics& a,
-                                     const RunMetrics& b) {
-  return a.completed == b.completed && a.end_cycle == b.end_cycle &&
-         a.makespan == b.makespan && a.observed_wcl == b.observed_wcl &&
-         a.analytical_wcl == b.analytical_wcl &&
-         a.observed_transient_wcl == b.observed_transient_wcl &&
-         a.transient_analytical_wcl == b.transient_analytical_wcl &&
-         a.llc_requests == b.llc_requests &&
-         a.per_core_finish == b.per_core_finish &&
-         a.per_core_l1_hits == b.per_core_l1_hits &&
-         a.per_core_l2_hits == b.per_core_l2_hits &&
-         a.per_core_misses == b.per_core_misses &&
-         a.dram_reads == b.dram_reads && a.dram_writes == b.dram_writes &&
-         a.llc_stats.hit_presentations == b.llc_stats.hit_presentations &&
-         a.llc_stats.blocked_presentations ==
-             b.llc_stats.blocked_presentations &&
-         a.llc_stats.fills == b.llc_stats.fills &&
-         a.llc_stats.evictions_started == b.llc_stats.evictions_started &&
-         a.llc_stats.voluntary_writebacks ==
-             b.llc_stats.voluntary_writebacks &&
-         a.llc_stats.freeing_writebacks == b.llc_stats.freeing_writebacks &&
-         a.llc_stats.steals == b.llc_stats.steals &&
-         a.llc_stats.repartitions == b.llc_stats.repartitions &&
-         a.llc_stats.drain_writebacks == b.llc_stats.drain_writebacks &&
-         a.llc_stats.drain_back_invals == b.llc_stats.drain_back_invals;
 }
 
 [[nodiscard]] std::string cell_key(const GridConfig& config, int way_bounce,
@@ -272,12 +243,10 @@ int run(bench::BenchContext& ctx) {
           ReplayRequest request;
           request.setup = &setup;
           request.workload.per_core = &traces;
-          request.engine = ReplayEngine::kKernel;
           const RunMetrics kernel = replay(request).metrics;
-          request.engine = ReplayEngine::kLegacy;
-          const RunMetrics legacy = replay(request).metrics;
+          const RunMetrics legacy = replay_every_slot(request).metrics;
 
-          const bool match = metrics_identical(kernel, legacy);
+          const bool match = kernel == legacy;
           const bool observed_transient =
               kernel.observed_transient_wcl != kNoCycle;
           const bool transient_ok =

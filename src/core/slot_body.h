@@ -4,20 +4,20 @@
 // whose evictions back-invalidate private copies.
 //
 // SlotBody holds the per-core ("lane") state, struct-of-arrays, and the
-// slot semantics. Two drivers run on it:
-//  * core::System steps every slot, owns its traces and feeds observers —
-//    the reference driver (sim::ReplayEngine::kLegacy);
-//  * the replay kernel (sim/kernel.h) executes only the slots that carry a
-//    bus action and advances lanes between them no further than its
-//    no-overshoot bound allows — the default driver.
-// Whatever the model does happens here, so the drivers agree by
-// construction; they differ only in which slots they visit. Skipping a
-// slot is sound because an idle slot changes nothing (PendingBuffers::pick
-// leaves its round-robin preference untouched when nothing is eligible).
+// slot semantics. Its one driver, core::BasicSystem (core/system.h),
+// decides which slots to execute: every slot (step_slot, run_slots, or
+// run with an observer registered), or only the slots that carry a bus
+// action, advancing lanes between them no further than its no-overshoot
+// bound allows (run). Whatever the model does happens here, so both ways
+// agree by construction; they differ only in which slots they visit.
+// Skipping a slot is sound because an idle slot changes nothing
+// (PendingBuffers::pick leaves its round-robin preference untouched when
+// nothing is eligible).
 //
-// The body is a template over the memory backend: System instantiates it
-// on the virtual mem::MemoryBackend, the kernel on each concrete `final`
-// backend so the LLC's DRAM calls devirtualize and inline.
+// The body is a template over the memory backend: core::System
+// instantiates it on the virtual mem::MemoryBackend, sim::replay() on each
+// concrete `final` backend so the LLC's DRAM calls devirtualize and
+// inline.
 #ifndef PSLLC_CORE_SLOT_BODY_H_
 #define PSLLC_CORE_SLOT_BODY_H_
 

@@ -81,7 +81,7 @@ struct PartitionNotation {
 /// A ready-to-run configuration for one paper experiment. The partition
 /// geometry is a *program* — an ordered schedule of modes. Paper setups are
 /// static (one mode); dynamic-repartitioning scenarios append further modes
-/// with trigger epochs before constructing the System/kernel.
+/// with trigger epochs before constructing the System.
 struct ExperimentSetup {
   SystemConfig config;
   llc::PartitionProgram program;

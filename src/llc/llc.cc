@@ -7,9 +7,9 @@ void LlcConfig::validate() const {
   PSLLC_CONFIG_CHECK(lookup_latency > 0, "LLC lookup latency must be > 0");
 }
 
-// The virtual-dispatch conformance instantiation every non-kernel consumer
-// links against (declared extern in llc.h). The kernel's concrete-backend
-// instantiations are emitted in sim/kernel.cc.
+// The virtual-dispatch instantiation behind core::System (declared extern
+// in llc.h). The concrete-backend instantiations are emitted with
+// core::BasicSystem's in core/system.cc.
 template class BasicPartitionedLlc<mem::MemoryBackend>;
 
 }  // namespace psllc::llc

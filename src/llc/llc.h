@@ -32,10 +32,10 @@
 // The class is a template over the memory-backend type, like the slot body
 // (core/slot_body.h) that owns it. The default instantiation
 // (`PartitionedLlc`, Memory = mem::MemoryBackend) dispatches DRAM accesses
-// virtually and backs core::System; the replay kernel (sim/kernel.h)
-// instantiates the body, and so the LLC, against each concrete `final`
-// backend so the compiler devirtualizes and inlines the fill/drain calls
-// on the hot path. Both instantiations execute the same member bodies
+// virtually and backs core::System; sim::replay() instantiates the system
+// (core::BasicSystem), and so the body and the LLC, against each concrete
+// `final` backend so the compiler devirtualizes and inlines the fill/drain
+// calls on the hot path. Both instantiations execute the same member bodies
 // (llc_impl.h), so behavior is identical by construction.
 #ifndef PSLLC_LLC_LLC_H_
 #define PSLLC_LLC_LLC_H_
@@ -155,7 +155,7 @@ class BasicPartitionedLlc {
 
   // --- mode-transition protocol ------------------------------------------
   //
-  // Both replay engines call advance_transition() at the top of every
+  // The slot body calls advance_transition() at the top of every
   // executed slot, before the bus message is picked. When a mode epoch has
   // been reached it switches the active map, freezes every (set, way) slot
   // whose partition assignment changed, and starts draining incompatible

@@ -1,8 +1,8 @@
 // Member definitions of llc::BasicPartitionedLlc. Included at the bottom
 // of llc.h only — the bodies are shared verbatim by every backend
-// instantiation (the virtual conformance path and the kernel's
-// devirtualized concrete paths), which is what keeps the two bit-identical
-// by construction.
+// instantiation (the virtual path behind core::System and the
+// devirtualized concrete paths sim::replay() runs), which is what keeps
+// the two bit-identical by construction.
 #ifndef PSLLC_LLC_LLC_IMPL_H_
 #define PSLLC_LLC_LLC_IMPL_H_
 

@@ -22,8 +22,8 @@
 // one per System, which is how the parallel sweep harness stays
 // bit-identical to the serial path.
 // The method bodies live in this header (not the .cc) so that call sites
-// holding a pointer to a concrete `final` backend — the replay kernel's
-// devirtualized LLC instantiations — can inline the whole access path;
+// holding a pointer to a concrete `final` backend — the devirtualized LLC
+// instantiations sim::replay() runs — can inline the whole access path;
 // the virtual interface remains the cold-path/conformance entry.
 #ifndef PSLLC_MEM_MEMORY_BACKEND_H_
 #define PSLLC_MEM_MEMORY_BACKEND_H_

@@ -1,10 +1,13 @@
 #include "sim/replay.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <limits>
 
 #include "common/assert.h"
 #include "core/system.h"
-#include "sim/kernel.h"
+#include "core/wcl_analysis.h"
+#include "mem/memory_backend.h"
 
 namespace psllc::sim {
 
@@ -43,24 +46,100 @@ void validate_request(const ReplayRequest& request) {
   }
 }
 
-/// The reference engine: core::System steps every slot of the same body
-/// the kernel drives, reading the workload through the same lane cursors.
-RunMetrics run_legacy(const ReplayRequest& request) {
-  core::System system(*request.setup);
+/// Binds the lanes of `body` to `workload` (borrowed): one trace per core,
+/// or one shared source on cores [0, replicas), core c shifted by
+/// c * window. Cores without a source stay empty.
+template <typename Backend>
+void bind_workload(core::SlotBody<Backend>& body,
+                   const ReplayWorkload& workload) {
+  for (int c = 0; c < body.num_lanes(); ++c) {
+    if (workload.per_core != nullptr) {
+      if (static_cast<std::size_t>(c) < workload.per_core->size()) {
+        body.bind_lane(c, (*workload.per_core)[static_cast<std::size_t>(c)],
+                       0);
+      }
+    } else if (c < workload.replicas) {
+      const Addr offset = workload.window * static_cast<Addr>(c);
+      if (workload.shared != nullptr) {
+        body.bind_lane(c, *workload.shared, offset);
+      } else {
+        body.bind_lane(c, *workload.shared_view, offset);
+      }
+    }
+  }
+}
+
+/// The metrics of a replay of `setup` on `body` that ended with `result`
+/// (`all_done` means every lane drained within the horizon).
+template <typename Backend>
+[[nodiscard]] RunMetrics fill_metrics(const core::SlotBody<Backend>& body,
+                                      const core::ExperimentSetup& setup,
+                                      const core::RunResult& result) {
+  RunMetrics metrics;
+  metrics.completed = result.all_done;
+  metrics.end_cycle = result.end_cycle;
+  metrics.analytical_wcl = core::analytical_wcl_cycles(setup, CoreId{0});
+  metrics.transient_analytical_wcl =
+      core::transient_wcl_cycles(setup, CoreId{0});
+  metrics.observed_transient_wcl = body.observed_transient_wcl();
+  const core::RequestTracker& tracker = body.tracker();
+  metrics.llc_requests = tracker.completed_requests();
+  metrics.observed_wcl =
+      tracker.completed_requests() > 0 ? tracker.max_service_latency() : 0;
+  metrics.per_core_finish.reserve(static_cast<std::size_t>(body.num_lanes()));
+  Cycle makespan = 0;
+  for (int l = 0; l < body.num_lanes(); ++l) {
+    metrics.per_core_finish.push_back(body.trace_done(l) ? body.finish_time(l)
+                                                         : kNoCycle);
+    metrics.per_core_l1_hits.push_back(body.caches(l).l1_hits());
+    metrics.per_core_l2_hits.push_back(body.caches(l).l2_hits());
+    metrics.per_core_misses.push_back(body.caches(l).misses());
+    makespan = std::max(makespan, body.finish_time(l));
+  }
+  if (result.all_done) {
+    metrics.makespan = makespan;
+  }
+  metrics.llc_stats = body.llc().stats();
+  metrics.memory = body.memory().counters();
+  metrics.dram_reads = metrics.memory.reads;
+  metrics.dram_writes = metrics.memory.writes;
+  return metrics;
+}
+
+template <typename Backend>
+RunMetrics replay_on(const ReplayRequest& request) {
+  core::BasicSystem<Backend> system(*request.setup);
   bind_workload(system.body(), request.workload);
   const core::RunResult result = system.run(request.options.max_cycles);
-  return fill_metrics(system.body(), *request.setup, result.all_done,
-                      result.end_cycle);
+  return fill_metrics(system.body(), *request.setup, result);
 }
 
 }  // namespace
 
 ReplayResult replay(const ReplayRequest& request) {
   validate_request(request);
-  if (request.engine == ReplayEngine::kLegacy) {
-    return {run_legacy(request)};
+  switch (request.setup->config.dram.backend) {
+    case mem::MemoryBackendKind::kFixedLatency:
+      return {replay_on<mem::FixedLatencyBackend>(request)};
+    case mem::MemoryBackendKind::kBankRow:
+      return {replay_on<mem::BankRowBackend>(request)};
+    case mem::MemoryBackendKind::kWriteQueue:
+      return {replay_on<mem::WriteQueueBackend>(request)};
   }
-  return {run_kernel(request)};
+  PSLLC_ASSERT(false, "unknown memory backend kind "
+                          << static_cast<int>(request.setup->config.dram.backend));
+  return {};
+}
+
+ReplayResult replay_every_slot(const ReplayRequest& request) {
+  validate_request(request);
+  core::System system(*request.setup);
+  bind_workload(system.body(), request.workload);
+  const Cycle W = request.setup->config.slot_width;
+  const Cycle max_cycles = request.options.max_cycles;
+  const core::RunResult result =
+      system.run_slots(max_cycles > 0 ? (max_cycles + W - 1) / W : 0);
+  return {fill_metrics(system.body(), *request.setup, result)};
 }
 
 }  // namespace psllc::sim

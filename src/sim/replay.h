@@ -1,16 +1,16 @@
 // The one replay entry point every cell-shaped run goes through.
 //
 // The sweep grid (run_cell), the shard protocol (cell jobs), and the corpus
-// runner all describe their work as a ReplayRequest and call replay(). Both
-// engines run the one slot body (core/slot_body.h): the replay kernel
-// (sim/kernel.h, the default) executes only the slots that carry a bus
-// action, the legacy engine (core::System) executes every slot. They
-// produce bit-identical RunMetrics, request records and trace logs; the
-// legacy engine is kept as the reference the kernel is checked against.
+// runner all describe their work as a ReplayRequest and call replay(). It
+// builds one core::BasicSystem on the concrete memory backend the cell
+// selects (core/system.h), binds the workload to its lanes and runs the
+// system's skip search, which executes only the slots that carry a bus
+// action. replay_every_slot() replays the same request stepping every slot:
+// the reference the search is checked against, with bit-identical
+// RunMetrics, request records and trace logs.
 #ifndef PSLLC_SIM_REPLAY_H_
 #define PSLLC_SIM_REPLAY_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "core/system_config.h"
@@ -18,12 +18,6 @@
 #include "trace/mapped_trace.h"
 
 namespace psllc::sim {
-
-/// Which driver replays the cell.
-enum class ReplayEngine : std::uint8_t {
-  kKernel,  ///< the event-driven skip driver (the default)
-  kLegacy,  ///< core::System, stepping every slot (the reference)
-};
 
 /// What each core replays. Exactly one source must be set:
 ///  * per_core — one trace per core (sweep cells), padded with idle cores;
@@ -46,17 +40,19 @@ struct ReplayRequest {
   const core::ExperimentSetup* setup = nullptr;  ///< borrowed, required
   ReplayWorkload workload;
   RunOptions options;
-  ReplayEngine engine = ReplayEngine::kKernel;
 };
 
 struct ReplayResult {
   RunMetrics metrics;
 };
 
-/// Replays the cell on `request.engine`. The metrics are bit-identical
-/// between engines (checked by the differential battery in
-/// tests/test_kernel.cc and by the golden gates).
+/// Replays the cell, skipping idle slots.
 [[nodiscard]] ReplayResult replay(const ReplayRequest& request);
+
+/// Replays the cell stepping every slot up to the horizon — the reference
+/// replay() is checked against (bit-identical metrics; see the
+/// differential battery in tests/test_kernel.cc).
+[[nodiscard]] ReplayResult replay_every_slot(const ReplayRequest& request);
 
 }  // namespace psllc::sim
 

@@ -38,7 +38,7 @@ struct RunMetrics {
   std::int64_t dram_reads = 0;   ///< == memory.reads
   std::int64_t dram_writes = 0;  ///< == memory.writes
 
-  /// Field-wise equality: the engines' bit-identity contract.
+  /// Field-wise equality: replay() and replay_every_slot() agree on it.
   [[nodiscard]] bool operator==(const RunMetrics&) const = default;
 };
 
@@ -49,8 +49,8 @@ struct RunOptions {
 };
 
 /// Runs `traces` (one per core, padded with empty traces) built from
-/// `setup`. Thin wrapper over sim::replay() with a per-core workload on
-/// the default engine (see sim/replay.h).
+/// `setup`. Thin wrapper over sim::replay() with a per-core workload (see
+/// sim/replay.h).
 [[nodiscard]] RunMetrics run_experiment(const core::ExperimentSetup& setup,
                                         const std::vector<core::Trace>& traces,
                                         const RunOptions& options = {});

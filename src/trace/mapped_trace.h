@@ -1,8 +1,8 @@
 // Zero-copy view of a binary (.pslt) trace file. The file is mmap'd
 // read-only and records are decoded in place on access, so opening and
 // validating a multi-GiB corpus entry costs one mmap (shared page cache
-// across processes), not a parse pass or a heap image. Both replay
-// engines read a view through the slot body's lane cursor
+// across processes), not a parse pass or a heap image. Replay reads a
+// view through the slot body's lane cursor
 // (core/slot_body.h), which decodes records in batches with
 // decode_batch(), so replay needs no materialized copy either; to_trace()
 // remains for callers that want a core::Trace. When mmap is unavailable

@@ -1,10 +1,10 @@
-// Differential battery for the replay kernel (sim/kernel.h): across a
-// randomized (backend variant × partition notation × workload shape ×
-// record retention) grid, the kernel's skip driver and the legacy
-// core::System driver, which steps every slot of the same slot body, must
-// produce bit-identical RunMetrics — every scalar, every per-core vector,
-// every LLC and memory counter — and identical trace-log streams. Also
-// covers the shared/mirrored and mapped-view workloads.
+// Differential battery for the replay kernel, core::BasicSystem::run's
+// idle-slot skip search (core/system.h): across a randomized (backend
+// variant × partition notation × workload shape × record retention) grid,
+// sim::replay() and sim::replay_every_slot(), which steps every slot of the
+// same system, must produce bit-identical RunMetrics — every scalar, every
+// per-core vector, every LLC and memory counter — and identical trace-log
+// streams. Also covers the shared/mirrored and mapped-view workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,24 +28,26 @@
 namespace psllc::sim {
 namespace {
 
-/// Runs `request` once per engine; returns {kernel, legacy} metrics.
-std::pair<RunMetrics, RunMetrics> run_both(ReplayRequest request) {
-  request.engine = ReplayEngine::kKernel;
+/// Runs `request` skipping idle slots and stepping every slot; returns
+/// {kernel, legacy} metrics.
+std::pair<RunMetrics, RunMetrics> run_both(const ReplayRequest& request) {
   const RunMetrics kernel = replay(request).metrics;
-  request.engine = ReplayEngine::kLegacy;
-  return {kernel, replay(request).metrics};
+  return {kernel, replay_every_slot(request).metrics};
 }
 
 /// Workload shapes chosen to stress different kernel regimes: dense
 /// LLC-heavy traffic (bus saturated, no slot skipped), cache-resident
 /// small footprints (local fast path), think-time gaps (idle-slot
-/// skipping), and a write-heavy mix (eviction/write-back traffic).
+/// skipping), a write-heavy mix (eviction/write-back traffic), and
+/// periodic tasks whose activation gaps span hundreds of slots — solo on
+/// one core, on every core, and with a cache-resident footprint.
 struct Shape {
   const char* name;
   std::int64_t range_bytes;
   int accesses;
   double write_fraction;
   Cycle gap;
+  int cores = 4;  ///< cores given a trace; the system has 4
 };
 
 constexpr Shape kShapes[] = {
@@ -53,6 +55,9 @@ constexpr Shape kShapes[] = {
     {"resident", 2048, 1500, 0.25, 0},
     {"gappy", 32768, 800, 0.25, 9},
     {"writeheavy", 32768, 1200, 0.9, 0},
+    {"solo_periodic", 32768, 300, 0.25, 20000, 1},
+    {"periodic", 32768, 300, 0.25, 24000},
+    {"resident_gap", 2048, 300, 0.25, 4000},
 };
 
 TEST(KernelDifferential, MatchesLegacyAcrossBackendsNotationsAndShapes) {
@@ -70,7 +75,7 @@ TEST(KernelDifferential, MatchesLegacyAcrossBackendsNotationsAndShapes) {
       workload.write_fraction = shape.write_fraction;
       workload.gap = shape.gap;
       const std::vector<core::Trace> traces =
-          make_disjoint_random_workload(4, workload, seed);
+          make_disjoint_random_workload(shape.cores, workload, seed);
       for (const bool keep_records : {false, true}) {
         core::ExperimentSetup setup = core::make_paper_setup(notation, 4);
         setup.config.dram = variant.config;
@@ -135,6 +140,24 @@ TEST(KernelDifferential, MatchesLegacyWhenEvictionsRaceLocalHits) {
   EXPECT_TRUE(kernel == legacy);
 }
 
+// A miss whose issue cycle is exactly a slot start is eligible in that
+// slot. Core 0's first miss is served in its slot 4 (cycles 200-250); the
+// second waits 139 cycles and issues at cycle 400, the start of its own
+// slot 8, after idle slots the search skips. Rounding that slot up would
+// serve the miss a whole TDM period late.
+TEST(KernelDifferential, MatchesLegacyWhenAMissIssuesOnASlotBoundary) {
+  const std::vector<core::Trace> traces{
+      core::Trace{core::MemOp{0x1000, AccessType::kRead, 0},
+                  core::MemOp{0x2000, AccessType::kRead, 139}}};
+  const core::ExperimentSetup setup = core::make_paper_setup("SS(1,4,4)", 4);
+  ReplayRequest request;
+  request.setup = &setup;
+  request.workload.per_core = &traces;
+  const auto [kernel, legacy] = run_both(request);
+  EXPECT_EQ(legacy.per_core_finish[0], 450);
+  EXPECT_TRUE(kernel == legacy) << "miss on a slot boundary";
+}
+
 // Fewer traces than cores (idle cores) and the empty-trace edge.
 TEST(KernelDifferential, MatchesLegacyWithIdleCores) {
   RandomWorkloadOptions workload;
@@ -197,7 +220,6 @@ TEST(KernelDifferential, MatchesLegacyOnMappedView) {
   ReplayRequest materialized = request;
   materialized.workload.shared_view = nullptr;
   materialized.workload.shared = &trace;
-  materialized.engine = ReplayEngine::kKernel;
   EXPECT_TRUE(replay(materialized).metrics == legacy)
       << "view vs materialized";
   std::filesystem::remove(path);
@@ -401,11 +423,9 @@ TEST(KernelDifferential, TraceLogStreamsMatch) {
   request.workload.per_core = &traces;
 
   LogCapture capture;
-  request.engine = ReplayEngine::kKernel;
   (void)replay(request);
   const std::vector<std::string> kernel = capture.take();
-  request.engine = ReplayEngine::kLegacy;
-  (void)replay(request);
+  (void)replay_every_slot(request);
   const std::vector<std::string> legacy = capture.take();
   EXPECT_FALSE(kernel.empty());
   EXPECT_TRUE(kernel == legacy) << kernel.size() << " kernel lines vs "

@@ -1,10 +1,11 @@
-// Dynamic repartitioning: the differential grid (replay kernel vs legacy
-// core::System across memory backends x notations x transition cadences
-// must be bit-identical through every drain/flush transition), the
-// transient WCL bound under live repartitioning, LLC containment after the
-// drain fence, and the way-bounce mode builder.
+// Dynamic repartitioning: the differential grid (sim::replay's skip search
+// vs sim::replay_every_slot across memory backends x notations x
+// transition cadences must be bit-identical through every drain/flush
+// transition), the transient WCL bound under live repartitioning, LLC
+// containment after the drain fence, and the way-bounce mode builder.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,10 +44,8 @@ std::pair<RunMetrics, RunMetrics> run_both(
   request.setup = &setup;
   request.workload.per_core = &traces;
   request.options.max_cycles = max_cycles;
-  request.engine = ReplayEngine::kKernel;
   const RunMetrics kernel = replay(request).metrics;
-  request.engine = ReplayEngine::kLegacy;
-  return {kernel, replay(request).metrics};
+  return {kernel, replay_every_slot(request).metrics};
 }
 
 // The tentpole contract: both engines bit-identical through two
@@ -96,6 +95,55 @@ TEST(RepartitionDifferential, MatchesOnHorizonTruncatedMidDrain) {
       run_both(setup, traces, /*max_cycles=*/450);
   EXPECT_FALSE(legacy.completed);
   EXPECT_TRUE(kernel == legacy) << "mid-drain";
+}
+
+// The restore epoch falls one slot after the bounce epoch, while the
+// bounce still drains, so the restore fires only after that drain's fence,
+// at a slot past its own epoch. Only core 0 has a trace, so the slot in
+// which the bounce's drain completes is idle and the search, not the busy
+// stretch, picks the next slot: it must not go back to the restore epoch's
+// slot.
+TEST(RepartitionDifferential, MatchesWhenTheNextEpochFallsInsideADrain) {
+  core::ExperimentSetup setup = core::make_paper_setup("SS(32,2,2)", 2);
+  const std::int64_t bounce_slot = 200;
+  const Cycle W = setup.config.slot_width;
+  const llc::PartitionMap initial = setup.partitions();
+  llc::PartitionProgram program(initial);
+  program.add_mode(llc::make_way_bounced_map(initial, 1), bounce_slot * W,
+                   {}, "bounce");
+  program.add_mode(initial, (bounce_slot + 1) * W, {}, "restore");
+  setup.program = std::move(program);
+  RandomWorkloadOptions workload;
+  workload.range_bytes = 16384;
+  workload.accesses = 2000;
+  workload.write_fraction = 0.6;
+  const auto traces = make_disjoint_random_workload(1, workload, 4040);
+
+  core::System probe(setup);
+  probe.set_trace(CoreId{0}, traces[0]);
+  bool draining_at_restore_epoch = false;
+  bool was_draining = false;
+  std::int64_t fence_slot = -1;
+  bool fence_slot_idle = false;
+  probe.add_slot_observer([&](const core::SlotEvent& event) {
+    const bool draining = probe.llc().transition_active();
+    if (event.slot_index == bounce_slot + 1) {
+      draining_at_restore_epoch = draining;
+    }
+    if (was_draining && !draining && fence_slot < 0) {
+      fence_slot = event.slot_index;
+      fence_slot_idle = event.action == core::SlotEvent::Action::kIdle;
+    }
+    was_draining = draining;
+  });
+  ASSERT_TRUE(probe.run(2'000'000'000).all_done);
+  ASSERT_TRUE(draining_at_restore_epoch) << "the bounce drained in one slot";
+  ASSERT_TRUE(fence_slot_idle) << "slot " << fence_slot << " is busy";
+
+  const auto [kernel, legacy] = run_both(setup, traces);
+  EXPECT_TRUE(legacy.completed);
+  EXPECT_EQ(legacy.llc_stats.repartitions, 2);
+  EXPECT_TRUE(kernel == legacy) << "restore deferred past its epoch";
 }
 
 // A no-op transition (identical maps) must not drain anything.

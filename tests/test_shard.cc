@@ -436,21 +436,9 @@ results::BenchResult repartition_bench_result(const ShardPlan& plan,
     request.setup = &setup;
     request.workload.per_core = &traces;
     request.options.max_cycles = cell.max_cycles;
-    request.engine = ReplayEngine::kKernel;
     const RunMetrics kernel = replay(request).metrics;
-    request.engine = ReplayEngine::kLegacy;
-    const RunMetrics legacy = replay(request).metrics;
-    const bool match =
-        kernel.completed == legacy.completed &&
-        kernel.end_cycle == legacy.end_cycle &&
-        kernel.observed_wcl == legacy.observed_wcl &&
-        kernel.observed_transient_wcl == legacy.observed_transient_wcl &&
-        kernel.llc_requests == legacy.llc_requests &&
-        kernel.llc_stats.repartitions == legacy.llc_stats.repartitions &&
-        kernel.llc_stats.drain_writebacks ==
-            legacy.llc_stats.drain_writebacks &&
-        kernel.llc_stats.drain_back_invals ==
-            legacy.llc_stats.drain_back_invals;
+    const RunMetrics legacy = replay_every_slot(request).metrics;
+    const bool match = kernel == legacy;
     engines_identical = engines_identical && match;
     series.add_row(
         {results::Value::of_text(cell.notation),

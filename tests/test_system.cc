@@ -1,6 +1,12 @@
 // End-to-end tests of the System slot engine: hit latencies, miss timing,
-// the private-partition WCL bound, write-back draining, and bookkeeping.
+// the private-partition WCL bound, write-back draining, and bookkeeping;
+// and SystemRun: run()'s idle-slot skip resumed from any state agrees with
+// stepping every slot.
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <string>
+#include <vector>
 
 #include "core/system.h"
 #include "core/wcl_analysis.h"
@@ -188,6 +194,201 @@ TEST(System, SharedPartitionKeepsCoresIsolatedFromOtherPartitions) {
   ASSERT_TRUE(result.all_done);
   EXPECT_GE(system.llc().find_way(CoreId{2}, 0x99), 0)
       << "cross-partition eviction";
+}
+
+// --- SystemRun: run() resumes its skip search at current_slot() ----------
+
+constexpr Cycle kLongRun = 500'000'000;
+
+/// Twin of System::run(max_cycles) that steps every slot.
+RunResult run_every_slot(System& system, Cycle max_cycles) {
+  const Cycle W = system.config().slot_width;
+  return system.run_slots((max_cycles + W - 1) / W - system.current_slot());
+}
+
+void set_traces(System& system, const std::vector<Trace>& traces) {
+  for (std::size_t c = 0; c < traces.size(); ++c) {
+    system.set_trace(CoreId{static_cast<int>(c)}, traces[c]);
+  }
+}
+
+/// Expects `skipped` (driven by run()) and `stepped` (driven by
+/// run_slots()) to agree on the run's outcome, the tracker's worst latency
+/// and every per-core accessor.
+void expect_twins_agree(const System& skipped, const RunResult& skipped_run,
+                        const System& stepped, const RunResult& stepped_run,
+                        const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(skipped_run.all_done, stepped_run.all_done);
+  EXPECT_EQ(skipped_run.end_cycle, stepped_run.end_cycle);
+  EXPECT_EQ(skipped_run.slots_executed, stepped_run.slots_executed);
+  EXPECT_EQ(skipped.current_slot(), stepped.current_slot());
+  EXPECT_EQ(skipped.tracker().max_service_latency(),
+            stepped.tracker().max_service_latency());
+  EXPECT_EQ(skipped.tracker().completed_requests(),
+            stepped.tracker().completed_requests());
+  EXPECT_TRUE(skipped.llc().stats() == stepped.llc().stats());
+  EXPECT_TRUE(skipped.memory().counters() == stepped.memory().counters());
+  EXPECT_EQ(skipped.writebacks_cancelled(), stepped.writebacks_cancelled());
+  for (int c = 0; c < skipped.config().num_cores; ++c) {
+    const CoreId core{c};
+    SCOPED_TRACE(to_string(core));
+    const mem::PrivateCacheHierarchy& a = skipped.caches(core);
+    const mem::PrivateCacheHierarchy& b = stepped.caches(core);
+    EXPECT_EQ(a.l1_hits(), b.l1_hits());
+    EXPECT_EQ(a.l2_hits(), b.l2_hits());
+    EXPECT_EQ(a.misses(), b.misses());
+    EXPECT_EQ(a.l1d().resident_lines(), b.l1d().resident_lines());
+    EXPECT_EQ(a.l2().resident_lines(), b.l2().resident_lines());
+    const bus::PendingBuffers& pa = skipped.buffers(core);
+    const bus::PendingBuffers& pb = stepped.buffers(core);
+    ASSERT_EQ(pa.has_request(), pb.has_request());
+    if (pa.has_request()) {
+      EXPECT_EQ(pa.request().line, pb.request().line);
+      EXPECT_EQ(pa.request().enqueued_at, pb.request().enqueued_at);
+    }
+    ASSERT_EQ(pa.writeback_count(), pb.writeback_count());
+    if (pa.has_writeback()) {
+      EXPECT_EQ(pa.front_writeback().line, pb.front_writeback().line);
+      EXPECT_EQ(pa.front_writeback().enqueued_at,
+                pb.front_writeback().enqueued_at);
+    }
+    EXPECT_EQ(skipped.blocked(core), stepped.blocked(core));
+    ASSERT_EQ(skipped.trace_done(core), stepped.trace_done(core));
+    if (skipped.trace_done(core)) {
+      EXPECT_EQ(skipped.finish_time(core), stepped.finish_time(core));
+    }
+    EXPECT_EQ(skipped.ops_completed(core), stepped.ops_completed(core));
+  }
+}
+
+std::vector<Trace> gappy_traces() {
+  sim::RandomWorkloadOptions options;
+  options.range_bytes = 32768;
+  options.accesses = 400;
+  options.write_fraction = 0.4;
+  options.gap = 30;
+  return sim::make_disjoint_random_workload(4, options, 4711);
+}
+
+/// busy[k]: slot k carried a bus action when `traces` ran on `setup`.
+std::vector<bool> busy_slots(const ExperimentSetup& setup,
+                             const std::vector<Trace>& traces) {
+  System system(setup);
+  set_traces(system, traces);
+  std::vector<bool> busy;
+  system.add_slot_observer([&busy](const SlotEvent& event) {
+    busy.push_back(event.action != SlotEvent::Action::kIdle);
+  });
+  EXPECT_TRUE(system.run(kLongRun).all_done);
+  return busy;
+}
+
+/// The first k >= `from` with busy[k - 1] == busy[k] == `busy_pair`.
+std::int64_t first_pair(const std::vector<bool>& busy, std::size_t from,
+                        bool busy_pair) {
+  for (std::size_t k = from; k < busy.size(); ++k) {
+    if (busy[k - 1] == busy_pair && busy[k] == busy_pair) {
+      return static_cast<std::int64_t>(k);
+    }
+  }
+  return -1;
+}
+
+/// Steps `k` slots on both twins, then finishes one with run() and the
+/// other by stepping every slot.
+void expect_resume_after_steps(const ExperimentSetup& setup,
+                               const std::vector<Trace>& traces,
+                               std::int64_t k, const std::string& label) {
+  System skipped(setup);
+  System stepped(setup);
+  set_traces(skipped, traces);
+  set_traces(stepped, traces);
+  for (std::int64_t i = 0; i < k; ++i) {
+    skipped.step_slot();
+    stepped.step_slot();
+  }
+  ASSERT_FALSE(skipped.all_done());
+  const RunResult a = skipped.run(kLongRun);
+  const RunResult b = run_every_slot(stepped, kLongRun);
+  EXPECT_TRUE(a.all_done);
+  expect_twins_agree(skipped, a, stepped, b, label);
+}
+
+TEST(SystemRun, ResumesAfterStepsEndingInsideABusyStretch) {
+  const ExperimentSetup setup = make_paper_setup("SS(1,4,4)", 4);
+  const std::vector<Trace> traces = gappy_traces();
+  const std::vector<bool> busy = busy_slots(setup, traces);
+  const std::int64_t k = first_pair(busy, busy.size() / 3, true);
+  ASSERT_GT(k, 0) << "no two consecutive busy slots";
+  expect_resume_after_steps(setup, traces, k,
+                            "resume at busy slot " + std::to_string(k));
+}
+
+TEST(SystemRun, ResumesAfterStepsEndingInsideAnIdleGap) {
+  const ExperimentSetup setup = make_paper_setup("SS(1,4,4)", 4);
+  const std::vector<Trace> traces = gappy_traces();
+  const std::vector<bool> busy = busy_slots(setup, traces);
+  const std::int64_t k = first_pair(busy, busy.size() / 3, false);
+  ASSERT_GT(k, 0) << "no two consecutive idle slots";
+  expect_resume_after_steps(setup, traces, k,
+                            "resume at idle slot " + std::to_string(k));
+}
+
+TEST(SystemRun, SecondRunResumesAfterAHorizonCut) {
+  const ExperimentSetup setup = make_paper_setup("NSS(1,4,4)", 4);
+  const std::vector<Trace> traces = gappy_traces();
+  const std::vector<bool> busy = busy_slots(setup, traces);
+  System skipped(setup);
+  System stepped(setup);
+  set_traces(skipped, traces);
+  set_traces(stepped, traces);
+  // A cut that is not on a slot boundary, half-way through the run.
+  const Cycle cut =
+      static_cast<Cycle>(busy.size() / 2) * setup.config.slot_width - 7;
+  const RunResult a1 = skipped.run(cut);
+  const RunResult b1 = run_every_slot(stepped, cut);
+  EXPECT_FALSE(a1.all_done);
+  expect_twins_agree(skipped, a1, stepped, b1, "first run, cut");
+  const RunResult a2 = skipped.run(kLongRun);
+  const RunResult b2 = run_every_slot(stepped, kLongRun);
+  EXPECT_TRUE(a2.all_done);
+  expect_twins_agree(skipped, a2, stepped, b2, "second run");
+}
+
+// Core 0 sits in a long think-time gap when the first run is cut and gets
+// a new trace, which starts at its carried-over ready time; the search must
+// pick the lane up from its restarted state.
+TEST(SystemRun, SetTraceBetweenRuns) {
+  const ExperimentSetup setup = make_paper_setup("SS(1,4,4)", 4);
+  sim::RandomWorkloadOptions options;
+  options.range_bytes = 32768;
+  options.accesses = 100;
+  std::vector<Trace> traces =
+      sim::make_disjoint_random_workload(4, options, 99);
+  traces[0].push_back(MemOp{line_addr(0x7000), AccessType::kRead, 200'000});
+  options.accesses = 200;
+  const Trace fresh = sim::make_uniform_random_trace(0, options, 100);
+
+  System skipped(setup);
+  System stepped(setup);
+  set_traces(skipped, traces);
+  set_traces(stepped, traces);
+  const Cycle cut = 100'000;
+  const RunResult a1 = skipped.run(cut);
+  const RunResult b1 = run_every_slot(stepped, cut);
+  ASSERT_FALSE(a1.all_done);
+  ASSERT_FALSE(skipped.blocked(CoreId{0}));
+  ASSERT_FALSE(skipped.trace_done(CoreId{0}));
+  expect_twins_agree(skipped, a1, stepped, b1, "first run, cut in the gap");
+
+  skipped.set_trace(CoreId{0}, fresh);
+  stepped.set_trace(CoreId{0}, fresh);
+  const RunResult a2 = skipped.run(kLongRun);
+  const RunResult b2 = run_every_slot(stepped, kLongRun);
+  EXPECT_TRUE(a2.all_done);
+  EXPECT_EQ(skipped.ops_completed(CoreId{0}), fresh.size());
+  expect_twins_agree(skipped, a2, stepped, b2, "second run, new trace");
 }
 
 }  // namespace
