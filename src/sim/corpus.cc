@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <condition_variable>
+#include <deque>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 
@@ -126,107 +130,146 @@ CorpusResult run_corpus(const std::vector<CorpusSource>& sources,
   result.entry_stats.resize(num_entries);
   result.entry_ran.assign(num_entries, false);
 
-  // The config axis grouped by active core count: one batch job per
-  // (entry, core count) loading its own trace and owning one shifted
-  // trace set, so even a single-trace corpus parallelizes across the
-  // core-count axis while the trace is loaded once per core count, not
-  // per cell — and at most `concurrent jobs` entries are ever resident.
-  // Every cell writes only its own pre-sized slot, so results stay
-  // bit-identical for any thread count and scheduling order.
-  struct ConfigGroup {
-    int active_cores = 0;
-    std::vector<std::size_t> config_indices;
+  // Cell-granular work on a fixed pool. A worker with nothing queued loads
+  // the next entry once, queues that entry's other owned cells and runs
+  // the heaviest itself; idle workers drain the queue before loading
+  // another entry. When a worker starts a load the queue is empty, so
+  // every resident entry has a cell running or a load in flight: at most
+  // `workers` entries are ever resident. Every cell writes only its own
+  // pre-sized slot, so results stay bit-identical for any thread count
+  // and scheduling order.
+  struct EntryWork {
+    std::vector<std::size_t> configs;  ///< owned, more active cores first
+    core::Trace trace;                 ///< resident while cells remain
+    std::size_t remaining = 0;         ///< cells not yet finished
+    std::once_flag window_once;
+    Addr window = 0;
   };
-  std::vector<ConfigGroup> groups;
-  for (std::size_t c = 0; c < num_configs; ++c) {
-    ConfigGroup* group = nullptr;
-    for (ConfigGroup& g : groups) {
-      if (g.active_cores == configs[c].active_cores) {
-        group = &g;
-        break;
-      }
-    }
-    if (group == nullptr) {
-      groups.push_back({configs[c].active_cores, {}});
-      group = &groups.back();
-    }
-    group->config_indices.push_back(c);
-  }
-
-  // The first scheduled job of an entry also records the trace stats
-  // (single writer per entry_stats slot; the value is identical whichever
-  // group computed it).
-  std::vector<std::size_t> stats_owner(num_entries, groups.size());
-
-  std::mutex residency_mutex;
-  int entries_resident = 0;
-  int peak_resident = 0;
-
-  std::vector<BatchJob> jobs;
-  jobs.reserve(num_entries * groups.size());
+  std::vector<EntryWork> work(num_entries);
+  std::vector<std::size_t> to_load;
+  std::size_t owned_cells = 0;
   for (std::size_t e = 0; e < num_entries; ++e) {
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      std::vector<std::size_t> owned;
-      for (const std::size_t c : groups[g].config_indices) {
-        if (cell_owned(e, c)) {
-          owned.push_back(c);
-        }
+    for (std::size_t c = 0; c < num_configs; ++c) {
+      if (cell_owned(e, c)) {
+        work[e].configs.push_back(c);
       }
-      if (owned.empty()) {
-        continue;
-      }
+    }
+    std::stable_sort(work[e].configs.begin(), work[e].configs.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return configs[a].active_cores >
+                              configs[b].active_cores;
+                     });
+    if (!work[e].configs.empty()) {
       result.entry_ran[e] = true;
-      if (stats_owner[e] == groups.size()) {
-        stats_owner[e] = g;
-      }
-      BatchJob job;
-      job.name = groups.size() > 1
-                     ? sources[e].name + "@" +
-                           std::to_string(groups[g].active_cores) + "c"
-                     : sources[e].name;
-      job.threads_wanted = 1;
-      job.run = [&, e, g, owned = std::move(owned)](
-                    int /*threads_granted*/) {
-        const ConfigGroup& group = groups[g];
-        // Counted from before the load starts: a trace being materialized
-        // is already resident memory, which is exactly what the peak
-        // metric exists to bound.
-        {
-          const std::lock_guard<std::mutex> lock(residency_mutex);
-          ++entries_resident;
-          peak_resident = std::max(peak_resident, entries_resident);
-        }
-        const core::Trace trace = sources[e].load();
-        if (stats_owner[e] == g) {
-          result.entry_stats[e] = compute_trace_stats(trace);
-        }
-        Addr window = 0;
-        if (replay == CorpusReplay::kMirrored && group.active_cores > 1) {
-          window = mirror_window(sources[e].name, trace);
-        }
-        for (const std::size_t c : owned) {
-          result.cells[e * num_configs + c] = run_corpus_cell(
-              sources[e].name, configs[c], options, trace, replay, window);
-        }
-        {
-          const std::lock_guard<std::mutex> lock(residency_mutex);
-          --entries_resident;
-        }
-      };
-      jobs.push_back(std::move(job));
+      to_load.push_back(e);
+      owned_cells += work[e].configs.size();
     }
   }
-  PSLLC_CONFIG_CHECK(!jobs.empty(),
+  PSLLC_CONFIG_CHECK(!to_load.empty(),
                      "corpus cell mask excludes every cell of the grid");
 
-  BatchOptions batch;
-  batch.threads = options.threads;
-  batch.max_concurrent_jobs =
-      std::max(1, std::min(resolve_thread_budget(options.threads),
-                           static_cast<int>(jobs.size())));
-  const BatchReport report = run_batch(std::move(jobs), batch);
-  PSLLC_CONFIG_CHECK(report.all_ok(),
-                     "corpus run failed:\n" << report.error_summary());
+  std::mutex mutex;
+  std::condition_variable work_ready;
+  std::deque<std::pair<std::size_t, std::size_t>> queue;  // (entry, config)
+  std::size_t next_load = 0;
+  int loads_in_flight = 0;  // their cells are not queued yet
+  int resident = 0;
+  int peak_resident = 0;
+  bool failed = false;
+  std::string failure;
+
+  const auto fail = [&](std::size_t e, const std::string& what) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (!failed) {
+      failed = true;
+      failure = sources[e].name + ": " + what;
+    }
+    work_ready.notify_all();
+  };
+  const auto worker = [&] {
+    for (;;) {
+      std::size_t e = 0;
+      std::size_t c = 0;
+      bool load = false;
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        work_ready.wait(lock, [&] {
+          return failed || !queue.empty() || next_load < to_load.size() ||
+                 loads_in_flight == 0;
+        });
+        if (failed) {
+          return;
+        }
+        if (!queue.empty()) {
+          std::tie(e, c) = queue.front();
+          queue.pop_front();
+        } else if (next_load < to_load.size()) {
+          e = to_load[next_load++];
+          load = true;
+          ++loads_in_flight;
+          // Counted from before the load starts: a trace being
+          // materialized is already resident memory, which is exactly
+          // what the peak metric exists to bound.
+          peak_resident = std::max(peak_resident, ++resident);
+        } else {
+          return;
+        }
+      }
+      EntryWork& entry = work[e];
+      try {
+        if (load) {
+          entry.trace = sources[e].load();
+          {
+            const std::lock_guard<std::mutex> lock(mutex);
+            entry.remaining = entry.configs.size();
+            for (std::size_t i = 1; i < entry.configs.size(); ++i) {
+              queue.emplace_back(e, entry.configs[i]);
+            }
+            --loads_in_flight;
+          }
+          work_ready.notify_all();
+          result.entry_stats[e] = compute_trace_stats(entry.trace);
+          c = entry.configs.front();
+        }
+        Addr window = 0;
+        if (replay == CorpusReplay::kMirrored && configs[c].active_cores > 1) {
+          std::call_once(entry.window_once, [&] {
+            entry.window = mirror_window(sources[e].name, entry.trace);
+          });
+          window = entry.window;
+        }
+        result.cells[e * num_configs + c] = run_corpus_cell(
+            sources[e].name, configs[c], options, entry.trace, replay, window);
+      } catch (const std::exception& ex) {
+        fail(e, ex.what());
+        return;
+      } catch (...) {
+        fail(e, "unknown exception");
+        return;
+      }
+      core::Trace finished;
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (--entry.remaining == 0) {
+          finished.swap(entry.trace);
+          --resident;
+        }
+      }
+    }
+  };
+
+  {
+    const auto workers = std::min<std::size_t>(
+        static_cast<std::size_t>(resolve_thread_budget(options.threads)),
+        owned_cells);
+    std::vector<std::jthread> pool;
+    pool.reserve(workers - 1);
+    for (std::size_t i = 1; i < workers; ++i) {
+      pool.emplace_back(worker);
+    }
+    worker();
+  }
+  PSLLC_CONFIG_CHECK(!failed, "corpus run failed:\n" << failure);
   result.peak_entries_resident = peak_resident;
   return result;
 }

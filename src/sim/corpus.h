@@ -1,14 +1,14 @@
 // Trace-corpus runner: replays a set of recorded traces (a directory of
 // .trace/.pslt files or the built-in demo corpus) across a grid of
-// partition configurations, scheduling the (trace x config) cells through
-// sim::run_batch. This is the recorded-workload counterpart of run_sweep,
+// partition configurations, scheduling the (trace x config) cells on a
+// fixed worker pool. This is the recorded-workload counterpart of run_sweep,
 // which generates its workloads internally; both take their execution
 // knobs (dram backend, horizon, thread budget) from SweepOptions so
 // benches configure one options struct for either path.
 //
 // Corpora are streamed per entry: run_corpus takes lazy CorpusSources and
-// each batch job loads its own trace inside the job, so at most
-// `concurrent jobs` entries are resident at once (reported as
+// loads each entry once, when a worker runs out of queued cells, so at
+// most `workers` entries are resident at once (reported as
 // CorpusResult::peak_entries_resident) instead of the whole corpus. An
 // optional cell mask restricts execution to a subset of the grid — the
 // execution half of the cross-process work-unit protocol (sim/shard.h).
@@ -34,9 +34,9 @@ struct CorpusEntry {
   core::Trace trace;
 };
 
-/// A lazily loadable corpus workload. `load` is invoked inside the batch
-/// job(s) that replay the entry (possibly once per active-core-count
-/// group, concurrently) and must return the same trace every call.
+/// A lazily loadable corpus workload. run_corpus invokes `load` once per
+/// entry per run, on a worker thread (other entries' loads may run
+/// concurrently), and only for entries with an owned cell.
 struct CorpusSource {
   std::string name;
   std::function<core::Trace()> load;
@@ -90,7 +90,8 @@ struct CorpusResult {
   /// without a cell mask).
   std::vector<bool> entry_ran;
   /// Most entries concurrently loaded at any point of the run — bounded by
-  /// the batch concurrency, not the corpus size (per-entry streaming).
+  /// the worker count, not the corpus size (per-entry streaming). An entry
+  /// counts from the start of its load until its last cell finishes.
   int peak_entries_resident = 0;
 
   [[nodiscard]] const CorpusCell& cell(int entry_index,
@@ -99,18 +100,22 @@ struct CorpusResult {
 
 /// Runs every source against every configuration. Uses, from `options`:
 /// `dram` (memory backend per cell), `max_cycles` (horizon) and `threads`
-/// (forwarded into the run_batch budget). The grid is scheduled as one
-/// single-threaded job per (entry, active-core count) — each job loads
-/// the entry, owns one shifted trace set and runs that core count's
-/// configs serially — so even a one-trace corpus parallelizes across the
-/// core-count axis while at most `threads` entries are ever resident.
+/// (resolve_thread_budget: the worker count, the calling thread being one
+/// of them). Work is cell-granular: a worker with no queued cell loads the
+/// next entry once, queues that entry's other owned cells (more active
+/// cores first) and runs the first itself; idle workers take queued cells
+/// before loading another entry. So even a one-trace corpus runs its cells
+/// in parallel, at most `workers` entries are ever resident, and each
+/// entry's trace is freed when its last cell finishes.
 /// `cell_mask`, when given, must have entries.size() * configs.size()
 /// flags in cell order (e * configs.size() + c); cells with a false flag
 /// are not executed (CorpusCell::ran == false) and entries with no owned
 /// cell are never loaded. The workload-generation fields (seed, ranges,
 /// accesses) are ignored — the corpus IS the workload. Results are
 /// deterministic and independent of the thread count. Throws ConfigError
-/// on an empty/duplicate-name corpus or when a cell fails.
+/// on an empty/duplicate-name corpus, and "corpus run failed:\n<entry>:
+/// <what>" when a load or a cell fails: the first failure stops the pool
+/// (no further entry is loaded) and is the one reported.
 [[nodiscard]] CorpusResult run_corpus(const std::vector<CorpusSource>& sources,
                                       const std::vector<SweepConfig>& configs,
                                       const SweepOptions& options,
@@ -120,7 +125,8 @@ struct CorpusResult {
                                           nullptr);
 
 /// Convenience overload over pre-materialized entries (which must outlive
-/// the call); jobs copy from `entries` instead of loading from disk.
+/// the call); each entry is copied from `entries` instead of loaded from
+/// disk.
 [[nodiscard]] CorpusResult run_corpus(const std::vector<CorpusEntry>& entries,
                                       const std::vector<SweepConfig>& configs,
                                       const SweepOptions& options,

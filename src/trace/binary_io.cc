@@ -139,11 +139,9 @@ core::Trace read_trace_binary(std::istream& input) {
                        "binary trace: truncated record payload (record "
                            << (decoded + got / stride) << " of "
                            << header.op_count << ")");
-    for (std::uint64_t i = 0; i < want; ++i) {
-      out.push_back(
-          decode_record(chunk.data() + i * stride, header.addr_width_bits,
-                        decoded + i));
-    }
+    out.resize(decoded + want);
+    decode_records(chunk.data(), header.addr_width_bits, decoded, want, 0,
+                   out.data() + decoded);
     decoded += want;
   }
   // A well-formed stream ends exactly after the last record.

@@ -177,6 +177,15 @@ inline void encode_record(const core::MemOp& op, int addr_width_bits,
   return op;
 }
 
+/// Decodes `count` consecutive records of `addr_width_bits` starting at
+/// `in` into `out` (which must hold `count` ops), adding `addr_offset` to
+/// every address. `first_index` is the index of the first record, so a bad
+/// type byte throws decode_record's ConfigError naming its record. The
+/// batch form of decode_record that every multi-record reader shares.
+void decode_records(const unsigned char* in, int addr_width_bits,
+                    std::uint64_t first_index, std::uint64_t count,
+                    Addr addr_offset, core::MemOp* out);
+
 }  // namespace psllc::trace
 
 #endif  // PSLLC_TRACE_FORMAT_H_

@@ -144,19 +144,13 @@ void MappedTrace::decode_batch(std::uint64_t first, std::uint64_t count,
   PSLLC_ASSERT(first <= header_.op_count && count <= header_.op_count - first,
                "trace batch [" << first << ", " << first + count
                               << ") out of range " << header_.op_count);
-  const unsigned char* record = data_ + kHeaderBytes + first * record_bytes_;
-  for (std::uint64_t i = 0; i < count; ++i, record += record_bytes_) {
-    out[i] = decode_record(record, header_.addr_width_bits, first + i);
-    out[i].addr += addr_offset;
-  }
+  decode_records(data_ + kHeaderBytes + first * record_bytes_,
+                 header_.addr_width_bits, first, count, addr_offset, out);
 }
 
 core::Trace MappedTrace::to_trace() const {
-  core::Trace out;
-  out.reserve(header_.op_count);
-  for (std::uint64_t i = 0; i < header_.op_count; ++i) {
-    out.push_back((*this)[i]);
-  }
+  core::Trace out(header_.op_count);
+  decode_batch(0, header_.op_count, 0, out.data());
   return out;
 }
 

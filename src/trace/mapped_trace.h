@@ -49,7 +49,8 @@ class MappedTrace {
   /// Decodes `count` records starting at `first` into `out` (which must
   /// hold `count` ops), adding `addr_offset` to every address. One call per
   /// lane-cursor chunk amortizes the per-record call overhead while the
-  /// bytes stay on the mapped view.
+  /// bytes stay on the mapped view. Throws ConfigError naming the first
+  /// record with a bad type byte.
   void decode_batch(std::uint64_t first, std::uint64_t count,
                     Addr addr_offset, core::MemOp* out) const;
 

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -196,10 +197,9 @@ TEST(Corpus, StreamingSourcesMatchMaterializedEntries) {
 }
 
 TEST(Corpus, PerEntryStreamingBoundsPeakEntriesResident) {
-  // 4 entries, one active-core-count group -> 4 jobs. A serial run must
-  // only ever hold ONE entry resident (the whole point of per-entry
-  // streaming: the corpus is no longer materialized up front), and a
-  // 2-thread run at most two.
+  // 4 entries of 2 cells each. A serial run must only ever hold ONE entry
+  // resident (the whole point of per-entry streaming: the corpus is no
+  // longer materialized up front), and a 2-thread run at most two.
   const std::vector<SweepConfig> configs = {{"SS(32,2,2)", 2},
                                             {"P(8,2)", 2}};
   SweepOptions serial;
@@ -282,6 +282,128 @@ TEST(Corpus, CellMaskRunsOnlyOwnedCellsAndNeverLoadsUnownedEntries) {
   EXPECT_THROW((void)run_corpus(sources, configs, options,
                                 CorpusReplay::kMirrored, &empty_mask),
                ConfigError);
+}
+
+/// Demo sources that count their loads, and an optional failure: the
+/// entry named `throwing` throws from its loader.
+struct CountingSources {
+  std::vector<CorpusEntry> corpus = make_demo_corpus(60);
+  std::shared_ptr<std::vector<std::atomic<int>>> loads =
+      std::make_shared<std::vector<std::atomic<int>>>(corpus.size());
+
+  [[nodiscard]] std::vector<CorpusSource> sources(
+      const std::string& throwing = "") const {
+    std::vector<CorpusSource> out;
+    for (std::size_t e = 0; e < corpus.size(); ++e) {
+      out.push_back({corpus[e].name, [this, e, throwing] {
+                       ++(*loads)[e];
+                       if (corpus[e].name == throwing) {
+                         throw std::runtime_error("disk on fire");
+                       }
+                       return corpus[e].trace;
+                     }});
+    }
+    return out;
+  }
+  void reset() const {
+    for (std::atomic<int>& n : *loads) {
+      n = 0;
+    }
+  }
+};
+
+/// Two core counts, so the old (entry, core count) jobs loaded each entry
+/// twice.
+const std::vector<SweepConfig>& mixed_core_configs() {
+  static const std::vector<SweepConfig> configs = {
+      {"P(8,2)", 2}, {"P(32,4)", 4}, {"SS(32,2,2)", 2}, {"SS(32,16,4)", 4}};
+  return configs;
+}
+
+TEST(CorpusScheduler, LoadsEachOwnedEntryExactlyOncePerRun) {
+  const CountingSources counting;
+  const std::vector<SweepConfig>& configs = mixed_core_configs();
+  const std::size_t entries = counting.corpus.size();
+  // Own every config of entry 0, one config of entry 2, nothing of 1 or 3.
+  std::vector<bool> mask(entries * configs.size(), false);
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    mask[c] = true;
+  }
+  mask[2 * configs.size() + 1] = true;
+  for (const int threads : {1, 2, 4}) {
+    for (const bool masked : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads " << threads << ", masked " << masked);
+      counting.reset();
+      SweepOptions options;
+      options.threads = threads;
+      const CorpusResult result =
+          run_corpus(counting.sources(), configs, options,
+                     CorpusReplay::kMirrored, masked ? &mask : nullptr);
+      for (std::size_t e = 0; e < entries; ++e) {
+        const bool owned = !masked || e == 0 || e == 2;
+        EXPECT_EQ((*counting.loads)[e].load(), owned ? 1 : 0)
+            << "entry " << e;
+        EXPECT_EQ(result.entry_ran[e], owned) << "entry " << e;
+      }
+      EXPECT_GE(result.peak_entries_resident, 1);
+      EXPECT_LE(result.peak_entries_resident, threads);
+    }
+  }
+}
+
+TEST(CorpusScheduler, CellsAreIdenticalAcrossThreadCountsInBothModes) {
+  const auto corpus = make_demo_corpus(80);
+  const std::vector<SweepConfig>& configs = mixed_core_configs();
+  for (const CorpusReplay mode : {CorpusReplay::kMirrored,
+                                  CorpusReplay::kSolo}) {
+    SweepOptions serial;
+    serial.threads = 1;
+    const CorpusResult reference = run_corpus(corpus, configs, serial, mode);
+    for (const int threads : {2, 4}) {
+      SweepOptions options;
+      options.threads = threads;
+      const CorpusResult result = run_corpus(corpus, configs, options, mode);
+      ASSERT_EQ(result.cells.size(), reference.cells.size());
+      for (std::size_t i = 0; i < result.cells.size(); ++i) {
+        EXPECT_TRUE(result.cells[i].ran) << "cell " << i;
+        EXPECT_TRUE(result.cells[i].metrics == reference.cells[i].metrics)
+            << "threads " << threads << ", cell " << i;
+      }
+      EXPECT_LE(result.peak_entries_resident, threads);
+    }
+  }
+}
+
+TEST(CorpusScheduler, FailuresNameTheEntryAndStopThePool) {
+  const CountingSources counting;
+  const std::vector<SweepConfig>& configs = mixed_core_configs();
+  SweepOptions options;
+  options.threads = 4;
+  const auto expect_failure_names = [&](const auto& run,
+                                        const std::string& entry,
+                                        const std::string& what) {
+    try {
+      (void)run();
+      ADD_FAILURE() << "run succeeded";
+    } catch (const ConfigError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("corpus run failed:\n" + entry + ": "),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(what), std::string::npos) << message;
+    }
+  };
+  const std::string bad = counting.corpus[1].name;
+  expect_failure_names(
+      [&] { return run_corpus(counting.sources(bad), configs, options); },
+      bad, "disk on fire");
+
+  // Mirrored replay cannot shift a trace whose addresses reach 2^63.
+  std::vector<CorpusEntry> corpus = counting.corpus;
+  corpus[2].trace.back().addr = Addr{1} << 63;
+  expect_failure_names([&] { return run_corpus(corpus, configs, options); },
+                       corpus[2].name, "use solo replay");
 }
 
 TEST(Corpus, MirroredReplayRejectsUnshiftableAddresses) {

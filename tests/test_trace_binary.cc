@@ -4,6 +4,7 @@
 // (bad magic, truncated header/record, wrong version, bad type byte).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -262,6 +263,90 @@ TEST(TraceBinary, MappedTraceRejectsMalformedFiles) {
   }
   EXPECT_THROW((void)MappedTrace(temp_file("missing.pslt").string()),
                std::runtime_error);
+}
+
+// --- batch decoding ----------------------------------------------------------
+
+/// `ops` random ops that fit `width`-bit records; long enough to cross the
+/// stream reader's 4096-record chunks.
+core::Trace random_trace_of_width(std::uint64_t seed, int ops, int width) {
+  core::Trace trace = random_trace(seed, ops);
+  if (width == 32) {
+    for (core::MemOp& op : trace) {
+      op.addr &= 0xFFFF'FFFFull;
+    }
+  }
+  return trace;
+}
+
+TEST(TraceBinary, EveryReaderDecodesTheSameOpsAtBothWidths) {
+  constexpr int kOps = 2 * 4096 + 1808;
+  constexpr Addr kOffset = 0x10'0000;
+  for (const int width : {32, 64}) {
+    SCOPED_TRACE(width);
+    const core::Trace trace = random_trace_of_width(
+        static_cast<std::uint64_t>(width), kOps, width);
+    BinaryWriteOptions options;
+    options.addr_width_bits = width;
+    const auto path = temp_file("batch_" + std::to_string(width) + ".pslt");
+    write_trace_binary_file(path.string(), trace, options);
+
+    const MappedTrace mapped(path.string());
+    ASSERT_EQ(mapped.header().addr_width_bits, width);
+    expect_traces_equal(mapped.to_trace(), trace);
+    std::istringstream in(encode_to_string(trace, options), std::ios::binary);
+    expect_traces_equal(read_trace_binary(in), trace);
+
+    // Batches at a nonzero offset, one straddling each chunk edge.
+    for (const std::uint64_t first : {0ull, 4000ull, 8100ull}) {
+      const std::uint64_t count = std::min<std::uint64_t>(300, kOps - first);
+      std::vector<core::MemOp> batch(count);
+      mapped.decode_batch(first, count, kOffset, batch.data());
+      for (std::uint64_t i = 0; i < count; ++i) {
+        const core::MemOp& want = trace[first + i];
+        EXPECT_EQ(batch[i].addr, want.addr + kOffset) << "op " << first + i;
+        EXPECT_EQ(batch[i].type, want.type) << "op " << first + i;
+        EXPECT_EQ(batch[i].gap, want.gap) << "op " << first + i;
+      }
+    }
+  }
+}
+
+TEST(TraceBinary, BadTypeByteInsideABatchNamesItsRecord) {
+  constexpr int kOps = 2 * 4096 + 100;
+  constexpr std::uint64_t kBad = 5000;  // inside the second stream chunk
+  const core::Trace trace = random_trace_of_width(3, kOps, 32);
+  BinaryWriteOptions options;
+  options.addr_width_bits = 32;
+  std::string bytes = encode_to_string(trace, options);
+  bytes[kHeaderBytes + kBad * record_bytes(32) + 4] = 9;
+  const auto path = temp_file("bad_type_mid_batch.pslt");
+  std::ofstream(path, std::ios::binary) << bytes;
+
+  const auto expect_names_record = [&](const auto& decode) {
+    try {
+      decode();
+      ADD_FAILURE() << "bad type byte accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("record 5000:"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  const MappedTrace mapped(path.string());
+  expect_names_record([&] { (void)mapped.to_trace(); });
+  expect_names_record([&] {
+    std::vector<core::MemOp> batch(1000);
+    mapped.decode_batch(4500, batch.size(), 0, batch.data());
+  });
+  expect_names_record([&] {
+    std::istringstream in(bytes, std::ios::binary);
+    (void)read_trace_binary(in);
+  });
+  // Batches that miss the bad record decode normally.
+  std::vector<core::MemOp> clean(kBad);
+  mapped.decode_batch(0, kBad, 0, clean.data());
+  EXPECT_EQ(clean.back().addr, trace[kBad - 1].addr);
 }
 
 TEST(TraceBinary, ExtensionDetection) {
