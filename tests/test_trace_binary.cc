@@ -319,7 +319,7 @@ TEST(TraceBinary, BadTypeByteInsideABatchNamesItsRecord) {
   BinaryWriteOptions options;
   options.addr_width_bits = 32;
   std::string bytes = encode_to_string(trace, options);
-  bytes[kHeaderBytes + kBad * record_bytes(32) + 4] = 9;
+  bytes[kHeaderBytes + kBad * record_bytes(32) + 4] = 3;  // first invalid
   const auto path = temp_file("bad_type_mid_batch.pslt");
   std::ofstream(path, std::ios::binary) << bytes;
 
