@@ -57,42 +57,26 @@ int run(bench::BenchContext& ctx) {
 
   auto& wcl_series = res.add_series(
       "backend_wcl",
-      {{"backend", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"cores", results::ColumnType::kInt, results::ColumnKind::kExact, ""},
-       {"backend_worst_case", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"required_slot_width", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"slot_slack", results::ColumnType::kInt, results::ColumnKind::kExact,
-        "cycles"},
-       {"analytical_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"observed_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"},
-       {"observed_mem_latency", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"}});
+      {{"backend", results::ColumnType::kText, ""},
+       {"config", results::ColumnType::kText, ""},
+       {"cores", results::ColumnType::kInt, ""},
+       {"backend_worst_case", results::ColumnType::kInt, "cycles"},
+       {"required_slot_width", results::ColumnType::kInt, "cycles"},
+       {"slot_slack", results::ColumnType::kInt, "cycles"},
+       {"analytical_wcl", results::ColumnType::kInt, "cycles"},
+       {"observed_wcl", results::ColumnType::kInt, "cycles"},
+       {"observed_mem_latency", results::ColumnType::kInt, "cycles"}});
   auto& behavior_series = res.add_series(
       "mem_behavior",
-      {{"backend", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"cores", results::ColumnType::kInt, results::ColumnKind::kExact, ""},
-       {"row_hits", results::ColumnType::kInt, results::ColumnKind::kExact,
-        ""},
-       {"row_misses", results::ColumnType::kInt, results::ColumnKind::kExact,
-        ""},
-       {"queued_writes", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"drained_writes", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"write_stalls", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"max_queue_depth", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""}});
+      {{"backend", results::ColumnType::kText, ""},
+       {"config", results::ColumnType::kText, ""},
+       {"cores", results::ColumnType::kInt, ""},
+       {"row_hits", results::ColumnType::kInt, ""},
+       {"row_misses", results::ColumnType::kInt, ""},
+       {"queued_writes", results::ColumnType::kInt, ""},
+       {"drained_writes", results::ColumnType::kInt, ""},
+       {"write_stalls", results::ColumnType::kInt, ""},
+       {"max_queue_depth", results::ColumnType::kInt, ""}});
 
   bool all_completed = true;
   bool system_bounds_hold = true;

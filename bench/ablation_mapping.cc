@@ -67,18 +67,12 @@ int run(bench::BenchContext& ctx) {
   res.meta().set_param("accesses_per_core", std::to_string(accesses));
   auto& series = res.add_series(
       "mapping_wcl",
-      {{"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"mapping", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"range_bytes", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "bytes"},
-       {"observed_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"},
-       {"analytical_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"makespan", results::ColumnType::kInt, results::ColumnKind::kTiming,
-        "cycles"}});
+      {{"config", results::ColumnType::kText, ""},
+       {"mapping", results::ColumnType::kText, ""},
+       {"range_bytes", results::ColumnType::kInt, "bytes"},
+       {"observed_wcl", results::ColumnType::kInt, "cycles"},
+       {"analytical_wcl", results::ColumnType::kInt, "cycles"},
+       {"makespan", results::ColumnType::kInt, "cycles"}});
   bool all_ok = true;
   for (const char* notation : {"SS(2,4,4)", "NSS(2,4,4)", "SS(32,4,4)"}) {
     for (const auto mapping :

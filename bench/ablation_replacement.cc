@@ -44,18 +44,12 @@ int run(bench::BenchContext& ctx) {
                        std::to_string(workload.accesses));
   auto& series = res.add_series(
       "policy_wcl",
-      {{"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"policy", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"observed_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"},
-       {"analytical_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"makespan", results::ColumnType::kInt, results::ColumnKind::kTiming,
-        "cycles"},
-       {"bound_holds", results::ColumnType::kText,
-        results::ColumnKind::kExact, ""}});
+      {{"config", results::ColumnType::kText, ""},
+       {"policy", results::ColumnType::kText, ""},
+       {"observed_wcl", results::ColumnType::kInt, "cycles"},
+       {"analytical_wcl", results::ColumnType::kInt, "cycles"},
+       {"makespan", results::ColumnType::kInt, "cycles"},
+       {"bound_holds", results::ColumnType::kText, ""}});
   bool all_hold = true;
   for (const auto& [notation, cores] : configs) {
     for (const auto kind : kinds) {

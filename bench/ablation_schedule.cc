@@ -69,16 +69,11 @@ int run(bench::BenchContext& ctx) {
   res.meta().set_param("horizon_slots", std::to_string(horizon));
   auto& series = res.add_series(
       "weighted_tdm",
-      {{"interferer_slots", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"mode", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"cua_completed", results::ColumnType::kText,
-        results::ColumnKind::kExact, ""},
-       {"cua_wait", results::ColumnType::kInt, results::ColumnKind::kTiming,
-        "cycles"},
-       {"interferer_ops", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, ""}});
+      {{"interferer_slots", results::ColumnType::kInt, ""},
+       {"mode", results::ColumnType::kText, ""},
+       {"cua_completed", results::ColumnType::kText, ""},
+       {"cua_wait", results::ColumnType::kInt, "cycles"},
+       {"interferer_ops", results::ColumnType::kInt, ""}});
   bool nss_starves = true;
   bool ss_bounded = true;
   for (const int weight : {1, 2, 3, 4}) {

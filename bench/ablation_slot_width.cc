@@ -33,16 +33,11 @@ int run(bench::BenchContext& ctx) {
                        std::to_string(workload.accesses));
   auto& series = res.add_series(
       "slot_width",
-      {{"slot_width", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"analytical_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"observed_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"},
-       {"makespan", results::ColumnType::kInt, results::ColumnKind::kTiming,
-        "cycles"},
-       {"bound_holds", results::ColumnType::kText,
-        results::ColumnKind::kExact, ""}});
+      {{"slot_width", results::ColumnType::kInt, "cycles"},
+       {"analytical_wcl", results::ColumnType::kInt, "cycles"},
+       {"observed_wcl", results::ColumnType::kInt, "cycles"},
+       {"makespan", results::ColumnType::kInt, "cycles"},
+       {"bound_holds", results::ColumnType::kText, ""}});
   bool all_hold = true;
   for (const Cycle slot_width : {35, 50, 75, 100, 200}) {
     auto setup = core::make_paper_setup("SS(1,4,4)", 4);

@@ -40,16 +40,11 @@ int run(bench::BenchContext& ctx) {
                        std::to_string(workload.accesses));
   auto& series = res.add_series(
       "clean_writeback",
-      {{"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"clean_wb_mode", results::ColumnType::kText,
-        results::ColumnKind::kExact, ""},
-       {"observed_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"},
-       {"analytical_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"makespan", results::ColumnType::kInt, results::ColumnKind::kTiming,
-        "cycles"}});
+      {{"config", results::ColumnType::kText, ""},
+       {"clean_wb_mode", results::ColumnType::kText, ""},
+       {"observed_wcl", results::ColumnType::kInt, "cycles"},
+       {"analytical_wcl", results::ColumnType::kInt, "cycles"},
+       {"makespan", results::ColumnType::kInt, "cycles"}});
   bool bounds_hold = true;
   bool silent_not_slower = true;
   for (const auto& [notation, cores] : configs) {

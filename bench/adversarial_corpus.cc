@@ -114,41 +114,27 @@ int run(bench::BenchContext& ctx) {
 
   auto& cells_series = res.add_series(
       "adversary_cells",
-      {{"pattern", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"cores", results::ColumnType::kInt, results::ColumnKind::kExact, ""},
-       {"cell", results::ColumnType::kText, results::ColumnKind::kExact, ""},
-       {"round", results::ColumnType::kInt, results::ColumnKind::kExact, ""},
-       {"backend", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"analytical_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"observed_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"},
-       {"makespan", results::ColumnType::kInt, results::ColumnKind::kTiming,
-        "cycles"},
-       {"slack", results::ColumnType::kReal, results::ColumnKind::kTiming,
-        ""},
-       {"llc_requests", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"bound_ok", results::ColumnType::kInt, results::ColumnKind::kExact,
-        ""}});
+      {{"pattern", results::ColumnType::kText, ""},
+       {"config", results::ColumnType::kText, ""},
+       {"cores", results::ColumnType::kInt, ""},
+       {"cell", results::ColumnType::kText, ""},
+       {"round", results::ColumnType::kInt, ""},
+       {"backend", results::ColumnType::kText, ""},
+       {"analytical_wcl", results::ColumnType::kInt, "cycles"},
+       {"observed_wcl", results::ColumnType::kInt, "cycles"},
+       {"makespan", results::ColumnType::kInt, "cycles"},
+       {"slack", results::ColumnType::kReal, ""},
+       {"llc_requests", results::ColumnType::kInt, ""},
+       {"bound_ok", results::ColumnType::kInt, ""}});
   auto& tracks_series = res.add_series(
       "adversary_tracks",
-      {{"pattern", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"cores", results::ColumnType::kInt, results::ColumnKind::kExact, ""},
-       {"cells", results::ColumnType::kInt, results::ColumnKind::kExact, ""},
-       {"min_slack", results::ColumnType::kReal,
-        results::ColumnKind::kTiming, ""},
-       {"near_misses", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"violations", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""}});
+      {{"pattern", results::ColumnType::kText, ""},
+       {"config", results::ColumnType::kText, ""},
+       {"cores", results::ColumnType::kInt, ""},
+       {"cells", results::ColumnType::kInt, ""},
+       {"min_slack", results::ColumnType::kReal, ""},
+       {"near_misses", results::ColumnType::kInt, ""},
+       {"violations", results::ColumnType::kInt, ""}});
 
   std::vector<std::size_t> cell_ordinals;
   std::vector<std::size_t> track_ordinals;

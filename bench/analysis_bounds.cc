@@ -35,9 +35,8 @@ SharedPartitionScenario scenario(int sets, int ways, int n, int m_cua = 64) {
   return s;
 }
 
-// Everything in this bench is closed-form analysis: every column is exact,
-// and any drift across commits is a regression in the bounds themselves.
-constexpr auto kExact = results::ColumnKind::kExact;
+// Everything in this bench is closed-form analysis: any drift across
+// commits is a regression in the bounds themselves.
 constexpr auto kInt = results::ColumnType::kInt;
 constexpr auto kReal = results::ColumnType::kReal;
 constexpr auto kText = results::ColumnType::kText;
@@ -50,10 +49,10 @@ int run(bench::BenchContext& ctx) {
 
   // --- Figure 7 analytical lines ---
   auto& lines = res.add_series("fig7_lines",
-                               {{"configuration", kText, kExact, ""},
-                                {"bound", kText, kExact, ""},
-                                {"cycles", kInt, kExact, "cycles"},
-                                {"paper_cycles", kInt, kExact, "cycles"}});
+                               {{"configuration", kText, ""},
+                                {"bound", kText, ""},
+                                {"cycles", kInt, "cycles"},
+                                {"paper_cycles", kInt, "cycles"}});
   lines.add_row({results::Value::of_text("SS(n=4)"),
                  results::Value::of_text("Thm 4.8"),
                  results::Value::of_int(
@@ -74,11 +73,11 @@ int run(bench::BenchContext& ctx) {
       scenario(8, 16, 4, /*m_cua=*/128);  // 128-line 16-way LLC
   auto& improvement =
       res.add_series("improvement_example",
-                     {{"m_lines", kInt, kExact, ""},
-                      {"thm47_bound", kInt, kExact, "cycles"},
-                      {"thm48_bound", kInt, kExact, "cycles"},
-                      {"exact_ratio", kReal, kExact, "ratio"},
-                      {"paper_envelope", kInt, kExact, "ratio"}});
+                     {{"m_lines", kInt, ""},
+                      {"thm47_bound", kInt, "cycles"},
+                      {"thm48_bound", kInt, "cycles"},
+                      {"exact_ratio", kReal, "ratio"},
+                      {"paper_envelope", kInt, "ratio"}});
   improvement.add_row(
       {results::Value::of_int(example.m()),
        results::Value::of_int(wcl_1s_tdm_cycles(example)),
@@ -97,11 +96,11 @@ int run(bench::BenchContext& ctx) {
 
   // --- bound vs partition size sweep ---
   auto& sweep = res.add_series("bound_sweep",
-                               {{"partition", kText, kExact, ""},
-                                {"m_lines", kInt, kExact, ""},
-                                {"thm47_bound", kInt, kExact, "cycles"},
-                                {"thm48_bound", kInt, kExact, "cycles"},
-                                {"ratio", kReal, kExact, "ratio"}});
+                               {{"partition", kText, ""},
+                                {"m_lines", kInt, ""},
+                                {"thm47_bound", kInt, "cycles"},
+                                {"thm48_bound", kInt, "cycles"},
+                                {"ratio", kReal, "ratio"}});
   for (const auto& [sets, ways] : std::vector<std::pair<int, int>>{
            {1, 2}, {1, 4}, {1, 16}, {4, 4}, {8, 8}, {16, 16}, {32, 16}}) {
     const auto s = scenario(sets, ways, 4);
@@ -115,9 +114,9 @@ int run(bench::BenchContext& ctx) {
 
   // --- sharer count sweep (the cubic term) ---
   auto& sharers = res.add_series("sharer_sweep",
-                                 {{"sharers", kInt, kExact, ""},
-                                  {"thm47_bound", kInt, kExact, "cycles"},
-                                  {"thm48_bound", kInt, kExact, "cycles"}});
+                                 {{"sharers", kInt, ""},
+                                  {"thm47_bound", kInt, "cycles"},
+                                  {"thm48_bound", kInt, "cycles"}});
   for (int n = 2; n <= 4; ++n) {
     const auto s = scenario(1, 4, n);
     sharers.add_row({results::Value::of_int(n),

@@ -145,16 +145,12 @@ int run(bench::BenchContext& ctx) {
 
   auto& traces_series = res.add_series(
       "corpus_traces",
-      {{"trace", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"ops", results::ColumnType::kInt, results::ColumnKind::kExact, ""},
-       {"reads", results::ColumnType::kInt, results::ColumnKind::kExact, ""},
-       {"writes", results::ColumnType::kInt, results::ColumnKind::kExact,
-        ""},
-       {"ifetches", results::ColumnType::kInt, results::ColumnKind::kExact,
-        ""},
-       {"distinct_lines", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""}});
+      {{"trace", results::ColumnType::kText, ""},
+       {"ops", results::ColumnType::kInt, ""},
+       {"reads", results::ColumnType::kInt, ""},
+       {"writes", results::ColumnType::kInt, ""},
+       {"ifetches", results::ColumnType::kInt, ""},
+       {"distinct_lines", results::ColumnType::kInt, ""}});
   std::vector<std::size_t> traces_ordinals;
   for (std::size_t e = 0; e < num_entries; ++e) {
     if (!result.entry_ran[e]) {
@@ -172,21 +168,14 @@ int run(bench::BenchContext& ctx) {
 
   auto& wcl_series = res.add_series(
       "corpus_wcl",
-      {{"trace", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"cores", results::ColumnType::kInt, results::ColumnKind::kExact, ""},
-       {"analytical_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"observed_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"},
-       {"makespan", results::ColumnType::kInt, results::ColumnKind::kTiming,
-        "cycles"},
-       {"llc_requests", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"bound_ok", results::ColumnType::kInt, results::ColumnKind::kExact,
-        ""}});
+      {{"trace", results::ColumnType::kText, ""},
+       {"config", results::ColumnType::kText, ""},
+       {"cores", results::ColumnType::kInt, ""},
+       {"analytical_wcl", results::ColumnType::kInt, "cycles"},
+       {"observed_wcl", results::ColumnType::kInt, "cycles"},
+       {"makespan", results::ColumnType::kInt, "cycles"},
+       {"llc_requests", results::ColumnType::kInt, ""},
+       {"bound_ok", results::ColumnType::kInt, ""}});
 
   std::vector<std::size_t> wcl_ordinals;
   bool all_completed = true;
@@ -198,8 +187,8 @@ int run(bench::BenchContext& ctx) {
         continue;
       }
       const RunMetrics& m = cell.metrics;
-      // The per-cell claim check: diffable as an exact column, aggregated
-      // below into the bench-level claims.
+      // The per-cell claim check: a diffable column, aggregated below into
+      // the bench-level claims.
       const bool bound_ok = m.completed && m.observed_wcl <= m.analytical_wcl;
       all_completed = all_completed && m.completed;
       bounds_hold = bounds_hold && bound_ok;

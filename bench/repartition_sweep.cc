@@ -176,37 +176,22 @@ int run(bench::BenchContext& ctx) {
 
   auto& series = res.add_series(
       "repartition_cells",
-      {{"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"cores", results::ColumnType::kInt, results::ColumnKind::kExact, ""},
-       {"way_bounce", results::ColumnType::kInt, results::ColumnKind::kExact,
-        ""},
-       {"cadence_slots", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"clustering", results::ColumnType::kText,
-        results::ColumnKind::kExact, ""},
-       {"analytical_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"transient_bound", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"observed_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"},
-       {"observed_transient_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"},
-       {"repartitions", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"drain_writebacks", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"drain_back_invals", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"makespan", results::ColumnType::kInt, results::ColumnKind::kTiming,
-        "cycles"},
-       {"llc_requests", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"engines_match", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"transient_ok", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""}});
+      {{"config", results::ColumnType::kText, ""},
+       {"cores", results::ColumnType::kInt, ""},
+       {"way_bounce", results::ColumnType::kInt, ""},
+       {"cadence_slots", results::ColumnType::kInt, ""},
+       {"clustering", results::ColumnType::kText, ""},
+       {"analytical_wcl", results::ColumnType::kInt, "cycles"},
+       {"transient_bound", results::ColumnType::kInt, "cycles"},
+       {"observed_wcl", results::ColumnType::kInt, "cycles"},
+       {"observed_transient_wcl", results::ColumnType::kInt, "cycles"},
+       {"repartitions", results::ColumnType::kInt, ""},
+       {"drain_writebacks", results::ColumnType::kInt, ""},
+       {"drain_back_invals", results::ColumnType::kInt, ""},
+       {"makespan", results::ColumnType::kInt, "cycles"},
+       {"llc_requests", results::ColumnType::kInt, ""},
+       {"engines_match", results::ColumnType::kInt, ""},
+       {"transient_ok", results::ColumnType::kInt, ""}});
 
   std::vector<std::size_t> row_ordinals;
   bool all_completed = true;

@@ -37,16 +37,11 @@ int run(bench::BenchContext& ctx) {
       ctx.make_meta("unbounded_wcl", kTitle, kReference));
   auto& series = res.add_series(
       "starvation",
-      {{"variant", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"slots_simulated", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"cua_completed", results::ColumnType::kText,
-        results::ColumnKind::kExact, ""},
-       {"cua_wait", results::ColumnType::kInt, results::ColumnKind::kTiming,
-        "cycles"},
-       {"interferer_ops", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, ""}});
+      {{"variant", results::ColumnType::kText, ""},
+       {"slots_simulated", results::ColumnType::kInt, ""},
+       {"cua_completed", results::ColumnType::kText, ""},
+       {"cua_wait", results::ColumnType::kInt, "cycles"},
+       {"interferer_ops", results::ColumnType::kInt, ""}});
   bool starved_as_expected = false;
   bool bounded_as_expected = true;
   for (const Variant& variant : variants) {

@@ -53,7 +53,7 @@ file(COPY "${GOLDEN_ROOT}/adversarial_corpus/"
      DESTINATION "${WORK_DIR}/bench_golden/adversarial_corpus")
 execute_process(
   COMMAND "${RESULTS_DIFF_BIN}" "${WORK_DIR}/bench_golden"
-          "${WORK_DIR}/bench_results" --rel-tol 0
+          "${WORK_DIR}/bench_results"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
@@ -83,7 +83,6 @@ file(COPY "${ADV_GOLDEN_ROOT}/corpus_runner/"
      DESTINATION "${WORK_DIR}/golden/corpus_runner")
 execute_process(
   COMMAND "${RESULTS_DIFF_BIN}" "${WORK_DIR}/golden" "${WORK_DIR}/results"
-          --rel-tol 0
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR

@@ -66,7 +66,6 @@ file(MAKE_DIRECTORY "${WORK_DIR}/golden/corpus_runner")
 file(COPY "${GOLDEN_DIR}/" DESTINATION "${WORK_DIR}/golden/corpus_runner")
 execute_process(
   COMMAND "${RESULTS_DIFF_BIN}" "${WORK_DIR}/golden" "${WORK_DIR}/results"
-          --rel-tol 0
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR

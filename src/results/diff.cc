@@ -1,7 +1,6 @@
 #include "results/diff.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <sstream>
 
@@ -62,30 +61,9 @@ DiffFinding finding(Severity severity, std::string bench, std::string series,
   return f;
 }
 
-/// Cell comparison per the column kind. Returns an empty string when the
-/// cells agree, else a message naming both values.
-std::string compare_cells(const Value& golden, const Value& candidate,
-                          const Column& column, double rel_tol) {
-  if (golden.is_null() && candidate.is_null()) {
-    return "";
-  }
-  if (golden.is_null() != candidate.is_null()) {
-    return "golden " + golden.repr() + " vs candidate " + candidate.repr();
-  }
-  const bool numeric = column.type != ColumnType::kText;
-  if (column.kind == ColumnKind::kTiming && numeric) {
-    const double g = golden.as_real();
-    const double c = candidate.as_real();
-    const double allowed = rel_tol * std::max(std::abs(g), 1.0);
-    if (std::abs(c - g) <= allowed) {
-      return "";
-    }
-    std::ostringstream oss;
-    oss << "golden " << golden.repr() << " vs candidate " << candidate.repr()
-        << " (|delta| " << format_real_shortest(std::abs(c - g))
-        << " > tol " << format_real_shortest(allowed) << ")";
-    return oss.str();
-  }
+/// Cell comparison: exact `Value` equality (two DNF cells agree). Returns
+/// an empty string when the cells agree, else a message naming both values.
+std::string compare_cells(const Value& golden, const Value& candidate) {
   if (golden == candidate) {
     return "";
   }
@@ -93,8 +71,7 @@ std::string compare_cells(const Value& golden, const Value& candidate,
 }
 
 void diff_series(const std::string& bench, const Series& golden,
-                 const Series& candidate, const DiffOptions& options,
-                 std::vector<DiffFinding>& out) {
+                 const Series& candidate, std::vector<DiffFinding>& out) {
   if (golden.columns() != candidate.columns()) {
     std::ostringstream oss;
     oss << "column schema changed (golden:";
@@ -123,12 +100,10 @@ void diff_series(const std::string& bench, const Series& golden,
     const auto& grow = golden.rows()[static_cast<std::size_t>(r)];
     const auto& crow = candidate.rows()[static_cast<std::size_t>(r)];
     for (std::size_t c = 0; c < golden.columns().size(); ++c) {
-      const Column& column = golden.columns()[c];
-      const std::string mismatch =
-          compare_cells(grow[c], crow[c], column, options.rel_tol);
+      const std::string mismatch = compare_cells(grow[c], crow[c]);
       if (!mismatch.empty()) {
         out.push_back(finding(Severity::kRegression, bench, golden.name(),
-                              column.name, r, mismatch));
+                              golden.columns()[c].name, r, mismatch));
       }
     }
   }
@@ -137,8 +112,7 @@ void diff_series(const std::string& bench, const Series& golden,
 }  // namespace
 
 std::vector<DiffFinding> diff_bench_results(const BenchResult& golden,
-                                            const BenchResult& candidate,
-                                            const DiffOptions& options) {
+                                            const BenchResult& candidate) {
   std::vector<DiffFinding> out;
   const std::string& bench = golden.meta().bench;
   if (candidate.meta().bench != bench) {
@@ -187,7 +161,7 @@ std::vector<DiffFinding> diff_bench_results(const BenchResult& golden,
                             "series disappeared"));
       continue;
     }
-    diff_series(bench, gs, *cs, options, out);
+    diff_series(bench, gs, *cs, out);
   }
   for (const Series& cs : candidate.series()) {
     if (golden.find_series(cs.name()) == nullptr) {
@@ -199,8 +173,7 @@ std::vector<DiffFinding> diff_bench_results(const BenchResult& golden,
 }
 
 DiffReport diff_directories(const std::filesystem::path& golden_root,
-                            const std::filesystem::path& candidate_root,
-                            const DiffOptions& options) {
+                            const std::filesystem::path& candidate_root) {
   if (!std::filesystem::is_directory(golden_root)) {
     throw std::runtime_error("golden root " + golden_root.string() +
                              " is not a directory");
@@ -245,7 +218,7 @@ DiffReport diff_directories(const std::filesystem::path& golden_root,
     }
     try {
       const BenchResult candidate = BenchResult::load(candidate_dir);
-      auto findings = diff_bench_results(golden, candidate, options);
+      auto findings = diff_bench_results(golden, candidate);
       report.findings.insert(report.findings.end(),
                              std::make_move_iterator(findings.begin()),
                              std::make_move_iterator(findings.end()));
@@ -267,10 +240,9 @@ DiffReport diff_directories(const std::filesystem::path& golden_root,
       const std::string bench = entry.path().filename().string();
       if (std::find(golden_benches.begin(), golden_benches.end(), bench) ==
           golden_benches.end()) {
-        report.findings.push_back(finding(
-            options.fail_on_extra_bench ? Severity::kRegression
-                                        : Severity::kInfo,
-            bench, "", "", -1, "present in candidate but not in golden"));
+        report.findings.push_back(
+            finding(Severity::kInfo, bench, "", "", -1,
+                    "present in candidate but not in golden"));
       }
     }
   }

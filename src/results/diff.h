@@ -1,8 +1,7 @@
 // Comparison of two result-store directories (golden baseline vs a fresh
-// run), the engine behind tools/results_diff. Exact columns and claim
-// checks must match bit-for-bit; timing columns are compared with a
-// relative tolerance. Any finding of severity kRegression makes the diff
-// fail (results_diff exits nonzero).
+// run), the engine behind tools/results_diff. Every cell and claim check
+// must match bit-for-bit. Any finding of severity kRegression makes the
+// diff fail (results_diff exits nonzero).
 #ifndef PSLLC_RESULTS_DIFF_H_
 #define PSLLC_RESULTS_DIFF_H_
 
@@ -13,15 +12,6 @@
 #include "results/result_store.h"
 
 namespace psllc::results {
-
-struct DiffOptions {
-  /// Relative tolerance for kTiming columns:
-  /// |candidate - golden| <= rel_tol * max(|golden|, 1).
-  double rel_tol = 0.02;
-  /// Benches present in the candidate but not the golden are reported as
-  /// kInfo (a new bench is not a regression) unless this is set.
-  bool fail_on_extra_bench = false;
-};
 
 struct DiffFinding {
   enum class Severity { kInfo, kRegression };
@@ -47,15 +37,16 @@ struct DiffReport {
 
 /// Compares two loaded bench results (golden vs candidate).
 [[nodiscard]] std::vector<DiffFinding> diff_bench_results(
-    const BenchResult& golden, const BenchResult& candidate,
-    const DiffOptions& options);
+    const BenchResult& golden, const BenchResult& candidate);
 
 /// Compares every `<bench>/result.json` under `golden_root` against
 /// `candidate_root`. Unreadable/missing candidate results are regressions;
-/// throws std::runtime_error only if `golden_root` itself is unusable.
+/// a bench present only in the candidate is kInfo (a new bench is not a
+/// regression). Throws std::runtime_error only if `golden_root` itself is
+/// unusable.
 [[nodiscard]] DiffReport diff_directories(
     const std::filesystem::path& golden_root,
-    const std::filesystem::path& candidate_root, const DiffOptions& options);
+    const std::filesystem::path& candidate_root);
 
 }  // namespace psllc::results
 

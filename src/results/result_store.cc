@@ -10,16 +10,6 @@
 
 namespace psllc::results {
 
-std::string to_string(ColumnKind kind) {
-  switch (kind) {
-    case ColumnKind::kExact:
-      return "exact";
-    case ColumnKind::kTiming:
-      return "timing";
-  }
-  return "?";
-}
-
 std::string to_string(ColumnType type) {
   switch (type) {
     case ColumnType::kInt:
@@ -30,16 +20,6 @@ std::string to_string(ColumnType type) {
       return "text";
   }
   return "?";
-}
-
-ColumnKind column_kind_from_string(const std::string& text) {
-  if (text == "exact") {
-    return ColumnKind::kExact;
-  }
-  if (text == "timing") {
-    return ColumnKind::kTiming;
-  }
-  throw JsonParseError("unknown column kind '" + text + "'");
 }
 
 ColumnType column_type_from_string(const std::string& text) {
@@ -235,7 +215,6 @@ Json Series::to_json() const {
     Json c = Json::make_object();
     c.set("name", Json::make_string(column.name));
     c.set("type", Json::make_string(to_string(column.type)));
-    c.set("kind", Json::make_string(to_string(column.kind)));
     c.set("unit", Json::make_string(column.unit));
     columns.push_back(std::move(c));
   }
@@ -258,7 +237,6 @@ Series Series::from_json(const Json& json) {
     Column column;
     column.name = c.at("name").as_string();
     column.type = column_type_from_string(c.at("type").as_string());
-    column.kind = column_kind_from_string(c.at("kind").as_string());
     column.unit = c.at("unit").as_string();
     columns.push_back(std::move(column));
   }

@@ -4,10 +4,9 @@
 // profile, config grid parameters, units) plus typed series, written as
 //   <root>/<bench>/result.json      (canonical, machine-diffable)
 //   <root>/<bench>/<series>.csv     (one per series, for plotting)
-// Columns carry a kind: kExact values (analytical WCL bounds, configuration
-// labels, claim checks) must match bit-for-bit across commits, while
-// kTiming values (observed latencies, makespans, speedups) are compared
-// with a tolerance by tools/results_diff.
+// Columns are typed (int, real or text) and carry a unit. Every value is
+// exact (simulated cycle counts, analytical WCL bounds, configuration
+// labels, claim checks), so tools/results_diff compares cells bit-for-bit.
 #ifndef PSLLC_RESULTS_RESULT_STORE_H_
 #define PSLLC_RESULTS_RESULT_STORE_H_
 
@@ -23,24 +22,15 @@
 
 namespace psllc::results {
 
-/// How results_diff compares a column across two runs.
-enum class ColumnKind {
-  kExact,   ///< analytic/configuration value: must match exactly
-  kTiming,  ///< timing-derived value: compared with relative tolerance
-};
-
 /// Cell type of a column.
 enum class ColumnType { kInt, kReal, kText };
 
-[[nodiscard]] std::string to_string(ColumnKind kind);
 [[nodiscard]] std::string to_string(ColumnType type);
-[[nodiscard]] ColumnKind column_kind_from_string(const std::string& text);
 [[nodiscard]] ColumnType column_type_from_string(const std::string& text);
 
 struct Column {
   std::string name;
   ColumnType type = ColumnType::kInt;
-  ColumnKind kind = ColumnKind::kExact;
   std::string unit;  ///< "cycles", "bytes", "ratio", "" for labels
 
   [[nodiscard]] bool operator==(const Column&) const = default;

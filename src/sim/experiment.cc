@@ -183,15 +183,13 @@ Table exec_time_table(const SweepResult& result) {
 
 namespace {
 
-/// Columns of a grid series: exact range_bytes plus one timing column per
+/// Columns of a grid series: range_bytes plus one cycles column per
 /// configuration.
 std::vector<results::Column> grid_columns(const SweepResult& result) {
   std::vector<results::Column> columns;
-  columns.push_back({"range_bytes", results::ColumnType::kInt,
-                     results::ColumnKind::kExact, "bytes"});
+  columns.push_back({"range_bytes", results::ColumnType::kInt, "bytes"});
   for (const SweepConfig& config : result.configs) {
-    columns.push_back({config.notation, results::ColumnType::kInt,
-                       results::ColumnKind::kTiming, "cycles"});
+    columns.push_back({config.notation, results::ColumnType::kInt, "cycles"});
   }
   return columns;
 }
@@ -225,10 +223,8 @@ results::Series exec_time_series(const SweepResult& result) {
 results::Series analytical_wcl_series(const SweepResult& result) {
   results::Series series(
       "analytical_wcl",
-      {{"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"wcl_bound", results::ColumnType::kInt, results::ColumnKind::kExact,
-        "cycles"}});
+      {{"config", results::ColumnType::kText, ""},
+       {"wcl_bound", results::ColumnType::kInt, "cycles"}});
   for (int c = 0; c < static_cast<int>(result.configs.size()); ++c) {
     series.add_row({results::Value::of_text(
                         result.configs[static_cast<std::size_t>(c)].notation),
@@ -243,12 +239,9 @@ results::Series speedup_series(
     const std::vector<std::pair<std::string, std::string>>& pairs) {
   results::Series series(
       "speedup",
-      {{"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"baseline", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"mean_speedup", results::ColumnType::kReal,
-        results::ColumnKind::kTiming, "ratio"}});
+      {{"config", results::ColumnType::kText, ""},
+       {"baseline", results::ColumnType::kText, ""},
+       {"mean_speedup", results::ColumnType::kReal, "ratio"}});
   for (const auto& [numerator, denominator] : pairs) {
     series.add_row({results::Value::of_text(numerator),
                     results::Value::of_text(denominator),

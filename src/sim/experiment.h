@@ -78,9 +78,9 @@ struct SweepResult {
                                   const std::string& numerator,
                                   const std::string& denominator);
 
-/// Result-store renderings of a sweep grid. Observed WCL and makespan are
-/// timing-derived columns (diffed with tolerance, DNF -> null); the
-/// analytical bounds are exact columns that must never drift.
+/// Result-store renderings of a sweep grid: observed WCL and makespan in
+/// cycles (DNF -> null) and the analytical bounds. Every cell is exact and
+/// must never drift.
 [[nodiscard]] results::Series observed_wcl_series(const SweepResult& result);
 [[nodiscard]] results::Series exec_time_series(const SweepResult& result);
 [[nodiscard]] results::Series analytical_wcl_series(const SweepResult& result);

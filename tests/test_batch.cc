@@ -182,8 +182,7 @@ TEST(Batch, BatchedSweepMatchesSerialSweep) {
   const SweepResult serial = run_sweep(configs, serial_options);
 
   results::Series batched_series(
-      "empty", {{"x", results::ColumnType::kInt, results::ColumnKind::kExact,
-                 ""}});
+      "empty", {{"x", results::ColumnType::kInt, ""}});
   std::vector<BatchJob> jobs;
   jobs.push_back(BatchJob{"sweep", 0, [&](int threads) {
                             SweepOptions options = serial_options;

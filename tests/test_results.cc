@@ -1,8 +1,9 @@
 // Tests for the result store: JSON round trips, schema validation on
-// series insertion, and results_diff exact/tolerance behavior on synthetic
+// series insertion, and results_diff's bit-for-bit comparison on synthetic
 // regressions.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -69,8 +70,8 @@ TEST(Json, MissingKeyAndTypeMismatchThrow) {
 // --- Series schema validation ------------------------------------------------
 
 std::vector<Column> two_columns() {
-  return {{"config", ColumnType::kText, ColumnKind::kExact, ""},
-          {"wcl", ColumnType::kInt, ColumnKind::kTiming, "cycles"}};
+  return {{"config", ColumnType::kText, ""},
+          {"wcl", ColumnType::kInt, "cycles"}};
 }
 
 TEST(Series, RejectsMismatchedRowLength) {
@@ -106,8 +107,8 @@ TEST(Series, RejectsNonFiniteReals) {
   // artifacts would disagree and results_diff would compare against the
   // silently-nulled value. Insertion is the single choke point.
   const std::vector<Column> columns = {
-      {"config", ColumnType::kText, ColumnKind::kExact, ""},
-      {"speedup", ColumnType::kReal, ColumnKind::kTiming, "ratio"}};
+      {"config", ColumnType::kText, ""},
+      {"speedup", ColumnType::kReal, "ratio"}};
   for (const double bad :
        {std::numeric_limits<double>::quiet_NaN(),
         std::numeric_limits<double>::infinity(),
@@ -136,7 +137,7 @@ TEST(Series, FromJsonNullsStayAllowedAsDnf) {
   Json json = Json::parse(R"({
     "name": "speedup",
     "columns": [
-      {"name": "ratio", "type": "real", "kind": "timing", "unit": "ratio"}
+      {"name": "ratio", "type": "real", "unit": "ratio"}
     ],
     "rows": [[null], [2.5]]
   })");
@@ -164,9 +165,9 @@ BenchResult sample_result() {
   BenchResult result(std::move(meta));
   Series& series = result.add_series(
       "observed_wcl",
-      {{"range_bytes", ColumnType::kInt, ColumnKind::kExact, "bytes"},
-       {"SS(1,2,4)", ColumnType::kInt, ColumnKind::kTiming, "cycles"},
-       {"ratio", ColumnType::kReal, ColumnKind::kTiming, "ratio"}});
+      {{"range_bytes", ColumnType::kInt, "bytes"},
+       {"SS(1,2,4)", ColumnType::kInt, "cycles"},
+       {"ratio", ColumnType::kReal, "ratio"}});
   series.add_row({Value::of_int(1024), Value::of_int(414),
                   Value::of_real(1.25)});
   series.add_row({Value::of_int(2048), Value::null(), Value::of_real(0.5)});
@@ -224,15 +225,8 @@ TEST(ResultStore, ResolvesRootFromFlagThenEnvThenDefault) {
 
 // --- diff --------------------------------------------------------------------
 
-DiffOptions tol(double rel_tol) {
-  DiffOptions options;
-  options.rel_tol = rel_tol;
-  return options;
-}
-
 TEST(Diff, IdenticalResultsProduceNoFindings) {
-  const auto findings =
-      diff_bench_results(sample_result(), sample_result(), tol(0.0));
+  const auto findings = diff_bench_results(sample_result(), sample_result());
   EXPECT_TRUE(findings.empty());
 }
 
@@ -241,16 +235,15 @@ BenchResult with_cell(std::int64_t range_value, std::int64_t wcl_value) {
   meta.bench = "b";
   BenchResult result(std::move(meta));
   Series& series = result.add_series(
-      "s", {{"range_bytes", ColumnType::kInt, ColumnKind::kExact, "bytes"},
-            {"wcl", ColumnType::kInt, ColumnKind::kTiming, "cycles"}});
+      "s", {{"range_bytes", ColumnType::kInt, "bytes"},
+            {"wcl", ColumnType::kInt, "cycles"}});
   series.add_row({Value::of_int(range_value), Value::of_int(wcl_value)});
   return result;
 }
 
 TEST(Diff, ExactColumnRegressionIsNamed) {
   const auto findings =
-      diff_bench_results(with_cell(1024, 1000), with_cell(2048, 1000),
-                         tol(0.5));
+      diff_bench_results(with_cell(1024, 1000), with_cell(2048, 1000));
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].severity, DiffFinding::Severity::kRegression);
   EXPECT_EQ(findings[0].series, "s");
@@ -260,15 +253,34 @@ TEST(Diff, ExactColumnRegressionIsNamed) {
   EXPECT_NE(findings[0].message.find("2048"), std::string::npos);
 }
 
-TEST(Diff, TimingColumnHonorsRelativeTolerance) {
-  // 2% drift on a timing column: fine at 5% tolerance, a regression at 1%.
-  EXPECT_TRUE(diff_bench_results(with_cell(1024, 1000),
-                                 with_cell(1024, 1020), tol(0.05))
-                  .empty());
-  const auto findings = diff_bench_results(
-      with_cell(1024, 1000), with_cell(1024, 1020), tol(0.01));
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].column, "wcl");
+BenchResult with_one_cell(ColumnType type, Value cell) {
+  RunMeta meta;
+  meta.bench = "b";
+  BenchResult result(std::move(meta));
+  result.add_series("s", {{"x", type, ""}}).add_row({std::move(cell)});
+  return result;
+}
+
+TEST(Diff, CellsCompareBitForBit) {
+  // Ints above 2^53 that one double cannot tell apart still differ.
+  const auto ints = diff_bench_results(
+      with_one_cell(ColumnType::kInt, Value::of_int(9007199254740993)),
+      with_one_cell(ColumnType::kInt, Value::of_int(9007199254740992)));
+  ASSERT_EQ(ints.size(), 1u);
+  EXPECT_EQ(ints[0].severity, DiffFinding::Severity::kRegression);
+  EXPECT_NE(ints[0].message.find("9007199254740993"), std::string::npos);
+  // So do adjacent doubles.
+  const auto reals = diff_bench_results(
+      with_one_cell(ColumnType::kReal, Value::of_real(1.0)),
+      with_one_cell(ColumnType::kReal,
+                    Value::of_real(std::nextafter(1.0, 2.0))));
+  ASSERT_EQ(reals.size(), 1u);
+  EXPECT_EQ(reals[0].severity, DiffFinding::Severity::kRegression);
+  // Two DNF cells agree.
+  EXPECT_TRUE(
+      diff_bench_results(with_one_cell(ColumnType::kInt, Value::null()),
+                         with_one_cell(ColumnType::kInt, Value::null()))
+          .empty());
 }
 
 TEST(Diff, DnfVersusValueIsAlwaysARegression) {
@@ -277,11 +289,10 @@ TEST(Diff, DnfVersusValueIsAlwaysARegression) {
   meta.bench = "b";
   BenchResult candidate(std::move(meta));
   Series& series = candidate.add_series(
-      "s", {{"range_bytes", ColumnType::kInt, ColumnKind::kExact, "bytes"},
-            {"wcl", ColumnType::kInt, ColumnKind::kTiming, "cycles"}});
+      "s", {{"range_bytes", ColumnType::kInt, "bytes"},
+            {"wcl", ColumnType::kInt, "cycles"}});
   series.add_row({Value::of_int(1024), Value::null()});
-  const auto findings =
-      diff_bench_results(golden, candidate, tol(10.0));
+  const auto findings = diff_bench_results(golden, candidate);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("DNF"), std::string::npos);
 }
@@ -293,7 +304,7 @@ TEST(Diff, ClaimFlipAndMissingSeriesAreRegressions) {
   BenchResult candidate(std::move(meta));
   candidate.add_claim("bounds hold", false);  // flipped
   // "nss above ss" missing entirely; series "observed_wcl" missing.
-  const auto findings = diff_bench_results(golden, candidate, tol(0.02));
+  const auto findings = diff_bench_results(golden, candidate);
   ASSERT_EQ(findings.size(), 3u);
   for (const auto& finding : findings) {
     EXPECT_EQ(finding.severity, DiffFinding::Severity::kRegression);
@@ -305,11 +316,12 @@ TEST(Diff, SchemaChangeIsARegressionNotACellDiff) {
   RunMeta meta;
   meta.bench = "b";
   BenchResult candidate(std::move(meta));
+  // Same names, types and cells; only the unit of "wcl" changed.
   Series& series = candidate.add_series(
-      "s", {{"range_bytes", ColumnType::kInt, ColumnKind::kExact, "bytes"},
-            {"wcl", ColumnType::kInt, ColumnKind::kExact, "cycles"}});
+      "s", {{"range_bytes", ColumnType::kInt, "bytes"},
+            {"wcl", ColumnType::kInt, "ns"}});
   series.add_row({Value::of_int(1024), Value::of_int(1000)});
-  const auto findings = diff_bench_results(golden, candidate, tol(0.02));
+  const auto findings = diff_bench_results(golden, candidate);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("column schema changed"),
             std::string::npos);
@@ -326,23 +338,18 @@ TEST(DiffDirectories, MissingBenchFailsAndExtraBenchIsInfo) {
     RunMeta meta;
     meta.bench = "extra";
     BenchResult extra(std::move(meta));
-    extra.add_series("s", {{"x", ColumnType::kInt, ColumnKind::kExact, ""}});
+    extra.add_series("s", {{"x", ColumnType::kInt, ""}});
     extra.write(candidate, /*write_csv=*/false);
   }
-  DiffReport report = diff_directories(golden, candidate, tol(0.02));
+  const DiffReport report = diff_directories(golden, candidate);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.num_regressions(), 1);  // bench "b" missing
   ASSERT_EQ(report.findings.size(), 2u);   // + info about "extra"
   EXPECT_EQ(report.findings[1].severity, DiffFinding::Severity::kInfo);
 
-  DiffOptions strict = tol(0.02);
-  strict.fail_on_extra_bench = true;
-  report = diff_directories(golden, candidate, strict);
-  EXPECT_EQ(report.num_regressions(), 2);
-
   // Matching tree passes.
   with_cell(1024, 1000).write(candidate, /*write_csv=*/false);
-  DiffReport clean = diff_directories(golden, candidate, tol(0.02));
+  const DiffReport clean = diff_directories(golden, candidate);
   EXPECT_EQ(clean.num_regressions(), 0);
   EXPECT_EQ(clean.benches_compared, 1);
   std::filesystem::remove_all(root);
@@ -356,7 +363,7 @@ TEST(DiffDirectories, UnreadableCandidateJsonIsARegression) {
   std::filesystem::create_directories(root / "candidate" / "b");
   std::ofstream(root / "candidate" / "b" / "result.json") << "{ not json";
   const DiffReport report =
-      diff_directories(root / "golden", root / "candidate", tol(0.02));
+      diff_directories(root / "golden", root / "candidate");
   EXPECT_FALSE(report.ok());
   ASSERT_EQ(report.findings.size(), 1u);
   EXPECT_NE(report.findings[0].message.find("unreadable"),
@@ -369,10 +376,8 @@ TEST(DiffDirectories, EmptyGoldenRootThrows) {
       std::filesystem::path(::testing::TempDir()) / "psllc_diff_empty";
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(root);
-  EXPECT_THROW(diff_directories(root, root, DiffOptions{}),
-               std::runtime_error);
-  EXPECT_THROW(diff_directories(root / "nope", root, DiffOptions{}),
-               std::runtime_error);
+  EXPECT_THROW(diff_directories(root, root), std::runtime_error);
+  EXPECT_THROW(diff_directories(root / "nope", root), std::runtime_error);
   std::filesystem::remove_all(root);
 }
 

@@ -153,11 +153,9 @@ results::BenchResult corpus_bench_result(const ShardPlan& plan,
 
   auto& traces_series = res.add_series(
       "corpus_traces",
-      {{"trace", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"ops", results::ColumnType::kInt, results::ColumnKind::kExact, ""},
-       {"distinct_lines", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""}});
+      {{"trace", results::ColumnType::kText, ""},
+       {"ops", results::ColumnType::kInt, ""},
+       {"distinct_lines", results::ColumnType::kInt, ""}});
   std::vector<std::size_t> traces_ordinals;
   for (std::size_t e = 0; e < corpus.size(); ++e) {
     if (!result.entry_ran[e]) {
@@ -172,16 +170,11 @@ results::BenchResult corpus_bench_result(const ShardPlan& plan,
 
   auto& wcl_series = res.add_series(
       "corpus_wcl",
-      {{"trace", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"analytical_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "cycles"},
-       {"observed_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"},
-       {"makespan", results::ColumnType::kInt, results::ColumnKind::kTiming,
-        "cycles"}});
+      {{"trace", results::ColumnType::kText, ""},
+       {"config", results::ColumnType::kText, ""},
+       {"analytical_wcl", results::ColumnType::kInt, "cycles"},
+       {"observed_wcl", results::ColumnType::kInt, "cycles"},
+       {"makespan", results::ColumnType::kInt, "cycles"}});
   std::vector<std::size_t> wcl_ordinals;
   bool all_completed = true;
   bool bounds_hold = true;
@@ -399,18 +392,12 @@ results::BenchResult repartition_bench_result(const ShardPlan& plan,
 
   auto& series = res.add_series(
       "repartition_cells",
-      {{"config", results::ColumnType::kText, results::ColumnKind::kExact,
-        ""},
-       {"way_bounce", results::ColumnType::kInt, results::ColumnKind::kExact,
-        ""},
-       {"observed_transient_wcl", results::ColumnType::kInt,
-        results::ColumnKind::kTiming, "cycles"},
-       {"repartitions", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"drain_writebacks", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""},
-       {"engines_match", results::ColumnType::kInt,
-        results::ColumnKind::kExact, ""}});
+      {{"config", results::ColumnType::kText, ""},
+       {"way_bounce", results::ColumnType::kInt, ""},
+       {"observed_transient_wcl", results::ColumnType::kInt, "cycles"},
+       {"repartitions", results::ColumnType::kInt, ""},
+       {"drain_writebacks", results::ColumnType::kInt, ""},
+       {"engines_match", results::ColumnType::kInt, ""}});
   std::vector<std::size_t> row_ordinals;
   bool engines_identical = true;
   for (std::size_t i = 0; i < cells.size(); ++i) {

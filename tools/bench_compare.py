@@ -5,12 +5,15 @@
 
 Prints, per workload and end-to-end metric of BENCHMARK.json, the median and
 interquartile range of the OLD and the NEW row and the change of the median.
-A metric regresses when its NEW median is worse than the OLD median by more
-than the metric's `bound`, a fraction of the OLD median (the same rule the
-benchmark applies to a change and its parent). Exit status: 0 when nothing
-regresses, 1 when a metric does, 2 on a usage error or an unreadable row.
-Rows recorded on different hosts also compare the hosts' raw speed; the
-header line names both.
+It applies the benchmark's rules for a change against its parent:
+  - a metric regresses when its NEW median is worse than the OLD median by
+    more than the metric's `bound`, a fraction of the OLD median;
+  - a workload fails when NEW's share of failed operations
+    (`failed / attempted`) exceeds OLD's, or when NEW is not `correct`
+    (a digest mismatch).
+Exit status: 0 when nothing regresses or fails, 1 when something does, 2 on a
+usage error or an unreadable row. Rows recorded on different hosts also
+compare the hosts' raw speed; the header line names both.
 """
 
 import argparse
@@ -32,6 +35,12 @@ def load(path):
             return json.load(f)
     except (OSError, ValueError) as e:
         fail("cannot read %s: %s" % (path, e))
+
+
+def failed_share(row):
+    """The share of a workload's attempted operations that failed."""
+    failed = row.get("failed", 0)
+    return failed / max(row.get("attempted", 0), failed) if failed else 0.0
 
 
 def worse_fraction(old, new, better):
@@ -66,8 +75,15 @@ def main():
         if name not in old["workloads"] or name not in new["workloads"]:
             fail("workload %s is missing from a row" % name)
         old_row, new_row = old["workloads"][name], new["workloads"][name]
-        print("\n%s (failed: old %d, new %d)" % (
-            name, old_row.get("failed", 0), new_row.get("failed", 0)))
+        print("\n%s (failed: old %d of %d, new %d of %d; correct: old %s, "
+              "new %s)" % (
+                  name, old_row.get("failed", 0), old_row.get("attempted", 0),
+                  new_row.get("failed", 0), new_row.get("attempted", 0),
+                  old_row.get("correct"), new_row.get("correct")))
+        if failed_share(new_row) > failed_share(old_row):
+            regressions.append("%s failed share" % name)
+        if new_row.get("correct") is not True:
+            regressions.append("%s not correct" % name)
         print("  %-12s %12s %10s %12s %10s %8s %6s" % (
             "metric", "old median", "old IQR", "new median", "new IQR",
             "worse", "bound"))
@@ -86,9 +102,9 @@ def main():
                 key, o["median"], o["iqr"], n["median"], n["iqr"],
                 100 * worse, 100 * metric["bound"], verdict))
     if regressions:
-        print("\nregressed beyond their bounds: " + ", ".join(regressions))
+        print("\nregressed or failed: " + ", ".join(regressions))
         return 1
-    print("\nno metric regressed beyond its bound")
+    print("\nno metric regressed beyond its bound, no workload failed")
     return 0
 
 

@@ -1,12 +1,10 @@
 // results_diff — compares two result-store directories and exits nonzero
-// on regression. Exact columns (analytical WCL bounds, configuration
-// labels) and claim checks must match bit-for-bit; timing-derived columns
-// (observed latencies, makespans, speedups) are compared with a relative
-// tolerance. This is the tool CI runs against the committed golden
-// baseline under bench/golden.
+// on regression. Every cell (simulated cycle counts, analytical WCL bounds,
+// configuration labels) and every claim check must match bit-for-bit. This
+// is the tool CI runs against the committed golden baseline under
+// bench/golden.
 //
-//   results_diff <golden_root> <candidate_root> [--rel-tol R]
-//                [--fail-on-extra]
+//   results_diff <golden_root> <candidate_root>
 //
 // Exit codes: 0 = no regression, 1 = regression(s) found, 2 = usage or
 // I/O error.
@@ -20,18 +18,12 @@
 namespace {
 
 void print_usage() {
-  std::printf(
-      "usage: results_diff <golden_root> <candidate_root> [options]\n"
-      "  --rel-tol R       relative tolerance for timing columns "
-      "(default 0.02)\n"
-      "  --fail-on-extra   treat benches only present in the candidate as "
-      "regressions\n");
+  std::printf("usage: results_diff <golden_root> <candidate_root>\n");
 }
 
 int run(int argc, char** argv) {
   std::string golden;
   std::string candidate;
-  psllc::results::DiffOptions options;
 
   psllc::cli::ArgCursor args("results_diff", argc, argv);
   while (!args.done()) {
@@ -39,16 +31,6 @@ int run(int argc, char** argv) {
     if (args.is_help()) {
       print_usage();
       return 0;
-    }
-    if (arg == "--rel-tol") {
-      options.rel_tol =
-          psllc::cli::parse_nonneg_real(args.value(), "--rel-tol");
-      continue;
-    }
-    if (arg == "--fail-on-extra") {
-      options.fail_on_extra_bench = true;
-      args.advance();
-      continue;
     }
     if (args.is_flag()) {
       return args.unknown_flag();
@@ -69,7 +51,7 @@ int run(int argc, char** argv) {
   }
 
   const psllc::results::DiffReport report =
-      psllc::results::diff_directories(golden, candidate, options);
+      psllc::results::diff_directories(golden, candidate);
   std::printf("%s", report.to_text().c_str());
   if (!report.ok()) {
     std::fprintf(stderr,
