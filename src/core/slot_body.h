@@ -4,13 +4,14 @@
 // whose evictions back-invalidate private copies.
 //
 // SlotBody holds the per-core ("lane") state, struct-of-arrays, and the
-// slot semantics. Its one driver, core::BasicSystem (core/system.h),
-// decides which slots to execute: every slot (step_slot, run_slots, or
-// run with an observer registered), or only the slots that carry a bus
-// action, advancing lanes between them no further than its no-overshoot
-// bound allows (run). Whatever the model does happens here, so both ways
-// agree by construction; they differ only in which slots they visit.
-// Skipping a slot is sound because an idle slot changes nothing
+// slot semantics. Each lane replays a borrowed core::Trace, every address
+// shifted by the lane's offset. Its one driver, core::BasicSystem
+// (core/system.h), decides which slots to execute: every slot (step_slot,
+// run_slots, or run with an observer registered), or only the slots that
+// carry a bus action, advancing lanes between them no further than its
+// no-overshoot bound allows (run). Whatever the model does happens here,
+// so both ways agree by construction; they differ only in which slots they
+// visit. Skipping a slot is sound because an idle slot changes nothing
 // (PendingBuffers::pick leaves its round-robin preference untouched when
 // nothing is eligible).
 //
@@ -21,7 +22,6 @@
 #ifndef PSLLC_CORE_SLOT_BODY_H_
 #define PSLLC_CORE_SLOT_BODY_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -38,7 +38,6 @@
 #include "core/system_config.h"
 #include "llc/llc.h"
 #include "mem/private_cache.h"
-#include "trace/mapped_trace.h"
 
 namespace psllc::core {
 
@@ -53,65 +52,6 @@ struct SlotEvent {
   LineAddr line = 0;
   bool request_completed = false;  ///< kRequest: hit or filled this slot
   bool writeback_frees = false;    ///< kWriteBack: freed an LLC entry
-};
-
-/// Read cursor over one lane's op stream. Either borrows a materialized
-/// trace (address offset applied per access) or decodes .pslt records in
-/// batches straight off a mapped view into a reused chunk buffer (offset
-/// applied at decode). No per-op allocation: the chunk is reserved once and
-/// recycled.
-class LaneCursor {
- public:
-  /// Records decoded per MappedTrace batch. Large enough to amortize the
-  /// per-batch call, small enough to stay resident in L1d (4096 * 24 B).
-  static constexpr std::uint64_t kChunkOps = 4096;
-
-  void init_direct(const Trace& trace, Addr offset) {
-    direct_ = trace.data();
-    view_ = nullptr;
-    size_ = trace.size();
-    offset_ = offset;
-  }
-
-  void init_view(const trace::MappedTrace& view, Addr offset) {
-    direct_ = nullptr;
-    view_ = &view;
-    size_ = view.size();
-    offset_ = offset;
-    chunk_begin_ = chunk_end_ = 0;
-    chunk_.reserve(static_cast<std::size_t>(std::min(size_, kChunkOps)));
-  }
-
-  [[nodiscard]] std::uint64_t size() const { return size_; }
-
-  [[nodiscard]] MemOp at(std::uint64_t pc) {
-    if (direct_ != nullptr) {
-      MemOp op = direct_[pc];
-      op.addr += offset_;
-      return op;
-    }
-    if (pc < chunk_begin_ || pc >= chunk_end_) {
-      refill(pc);
-    }
-    return chunk_[static_cast<std::size_t>(pc - chunk_begin_)];
-  }
-
- private:
-  void refill(std::uint64_t pc) {
-    chunk_begin_ = pc;
-    chunk_end_ = std::min(pc + kChunkOps, size_);
-    chunk_.resize(static_cast<std::size_t>(chunk_end_ - chunk_begin_));
-    view_->decode_batch(chunk_begin_, chunk_end_ - chunk_begin_, offset_,
-                        chunk_.data());
-  }
-
-  const MemOp* direct_ = nullptr;
-  const trace::MappedTrace* view_ = nullptr;
-  Addr offset_ = 0;
-  std::uint64_t size_ = 0;
-  std::vector<MemOp> chunk_;
-  std::uint64_t chunk_begin_ = 0;
-  std::uint64_t chunk_end_ = 0;  ///< chunk covers [chunk_begin_, chunk_end_)
 };
 
 template <typename Backend>
@@ -129,7 +69,8 @@ class SlotBody {
     config_.validate();
     llc_.program().validate(config_.num_cores);
     const std::size_t count = static_cast<std::size_t>(config_.num_cores);
-    cursors_.resize(count);
+    lane_ops_.assign(count, nullptr);
+    lane_offset_.assign(count, 0);
     pc_.assign(count, 0);
     lane_size_.assign(count, 0);
     version_.assign(count, 0);
@@ -160,14 +101,14 @@ class SlotBody {
   /// lane's ready time carries over, so a trace bound between runs starts
   /// where the previous one ended.
   void bind_lane(int l, const Trace& trace, Addr offset) {
-    cursors_[at(l)].init_direct(trace, offset);
-    restart_lane(l);
-  }
-
-  /// As above, decoding the records off a mapped .pslt view.
-  void bind_lane(int l, const trace::MappedTrace& view, Addr offset) {
-    cursors_[at(l)].init_view(view, offset);
-    restart_lane(l);
+    const std::size_t s = at(l);
+    lane_ops_[s] = trace.data();
+    lane_offset_[s] = offset;
+    lane_size_[s] = trace.size();
+    pc_[s] = 0;
+    gap_applied_[s] = 0;
+    done_slot_[s] = 0;
+    ++version_[s];
   }
 
   /// Scenario setup: `line` resident in the LLC and privately cached by
@@ -190,7 +131,8 @@ class SlotBody {
     const Cycle l1_latency = config_.private_caches.l1_hit_latency;
     const Cycle l2_latency = config_.private_caches.l2_hit_latency;
     const std::uint64_t size = lane_size_[s];
-    LaneCursor& cursor = cursors_[s];
+    const MemOp* const ops = lane_ops_[s];
+    const Addr offset = lane_offset_[s];
     mem::PrivateCacheHierarchy& caches = caches_[s];
     std::uint64_t pc = pc_[s];
     Cycle next_ready = next_ready_[s];
@@ -198,7 +140,8 @@ class SlotBody {
     const Cycle entry_next_ready = next_ready;
     const unsigned char entry_gap_applied = gap_applied_[s];
     while (pc < size) {
-      const MemOp op = cursor.at(pc);
+      MemOp op = ops[pc];
+      op.addr += offset;
       if (gap_applied_[s] == 0) {
         next_ready += op.gap;
         gap_applied_[s] = 1;
@@ -453,10 +396,9 @@ class SlotBody {
   /// Earliest cycle at which the lane's next op could enqueue a request:
   /// even a miss waits for the ready time, the pending gap and the L1 + L2
   /// tag walks. Requires runnable(l).
-  [[nodiscard]] Cycle earliest_miss_issue(int l) {
+  [[nodiscard]] Cycle earliest_miss_issue(int l) const {
     const std::size_t s = at(l);
-    const MemOp op = cursors_[s].at(pc_[s]);
-    const Cycle gap = gap_applied_[s] != 0 ? 0 : op.gap;
+    const Cycle gap = gap_applied_[s] != 0 ? 0 : lane_ops_[s][pc_[s]].gap;
     return next_ready_[s] + gap + config_.private_caches.l1_hit_latency +
            config_.private_caches.l2_hit_latency;
   }
@@ -493,15 +435,6 @@ class SlotBody {
     return static_cast<std::size_t>(l);
   }
 
-  void restart_lane(int l) {
-    const std::size_t s = at(l);
-    lane_size_[s] = cursors_[s].size();
-    pc_[s] = 0;
-    gap_applied_[s] = 0;
-    done_slot_[s] = 0;
-    ++version_[s];
-  }
-
   const SystemConfig& config_;
   bus::TdmSchedule schedule_;
   const Backend* memory_;
@@ -511,7 +444,8 @@ class SlotBody {
   Cycle observed_transient_wcl_ = kNoCycle;
 
   // Struct-of-arrays lane state, one entry per core.
-  std::vector<LaneCursor> cursors_;
+  std::vector<const MemOp*> lane_ops_;  ///< borrowed trace of each lane
+  std::vector<Addr> lane_offset_;       ///< added to every op's address
   std::vector<std::uint64_t> pc_;
   std::vector<std::uint64_t> lane_size_;
   std::vector<std::uint64_t> version_;

@@ -9,8 +9,8 @@
 // make_paper_setup() turns a notation plus the active core count into a
 // ready-to-run SystemConfig + PartitionMap with the paper's platform
 // defaults (4-way 16-set L2, 16-way 32-set LLC, 64 B lines, 50-cycle TDM
-// slots — the slot width recovered from Figure 7's analytical lines, see
-// DESIGN.md).
+// slots — the slot width recovered from Figure 7's analytical lines; the
+// derivation is on kPaperSlotWidth below).
 #ifndef PSLLC_CORE_SYSTEM_CONFIG_H_
 #define PSLLC_CORE_SYSTEM_CONFIG_H_
 

@@ -6,7 +6,8 @@
 // paper Section 3). Workloads in the paper are data-disjoint, so lines have
 // at most one sharer there; the directory nevertheless supports read
 // sharing, and the system model flags writes to multi-sharer lines (a
-// predictable coherence protocol is out of scope, see DESIGN.md).
+// predictable coherence protocol is out of scope, because the paper assumes
+// data-disjoint tasks).
 //
 // Sharers are kept per line address as a core bit mask (bit c = core c), so
 // the directory holds at most kMaxCores cores. The lines live in a flat

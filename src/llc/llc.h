@@ -188,8 +188,8 @@ class BasicPartitionedLlc {
   /// Presents `core`'s request for `line` (first time or retry) in its
   /// slot. `access` is used for diagnostics only: a write request to a line
   /// other cores privately share is counted in stats().shared_write_flags
-  /// (the paper assumes data-disjoint tasks; a predictable coherence
-  /// protocol is out of scope, see DESIGN.md).
+  /// (the paper assumes data-disjoint tasks, so a predictable coherence
+  /// protocol is out of scope).
   RequestOutcome handle_request(CoreId core, LineAddr line, Cycle now,
                                 AccessType access = AccessType::kRead);
 

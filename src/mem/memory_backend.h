@@ -1,6 +1,6 @@
 // Pluggable memory-backend interface behind the LLC.
 //
-// The system model (core/System) charges every LLC fill and write-back to
+// The slot body (core/slot_body.h) charges every LLC fill and write-back to
 // the requester's TDM slot; SystemConfig::validate enforces
 // `slot_width >= llc_lookup + backend.worst_case_latency()`, so *any*
 // backend that honors the WCL contract below preserves the paper's bounds.
@@ -16,11 +16,10 @@
 //  * accesses are presented in non-decreasing `now` order (the TDM bus
 //    serializes them); backends may keep internal clocks keyed on `now`.
 //
-// Thread safety is by cloning, not locking: a backend instance is owned by
-// exactly one System. clone() yields an independent deep copy (state and
-// counters) for checkpointing; DramConfig::make_backend() builds a fresh
-// one per System, which is how the parallel sweep harness stays
-// bit-identical to the serial path.
+// Thread safety is by ownership, not locking: a backend instance is owned
+// by exactly one core::BasicSystem and is neither copied nor shared.
+// DramConfig::make_backend() builds a fresh one per system, which is how
+// cells replayed on different threads stay bit-identical to a serial run.
 // The method bodies live in this header (not the .cc) so that call sites
 // holding a pointer to a concrete `final` backend — the devirtualized LLC
 // instantiations sim::replay() runs — can inline the whole access path;
@@ -65,6 +64,7 @@ struct MemoryCounters {
 class MemoryBackend {
  public:
   virtual ~MemoryBackend() = default;
+  MemoryBackend(const MemoryBackend&) = delete;
   MemoryBackend& operator=(const MemoryBackend&) = delete;
 
   /// Latency to read the line at `line` (fills an LLC miss) at time `now`.
@@ -89,9 +89,6 @@ class MemoryBackend {
   /// Stable identifier ("fixed", "bankrow", "writequeue").
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// Independent deep copy (model state and counters).
-  [[nodiscard]] virtual std::unique_ptr<MemoryBackend> clone() const = 0;
-
   [[nodiscard]] const MemoryCounters& counters() const { return counters_; }
   [[nodiscard]] const DramConfig& config() const { return config_; }
 
@@ -104,9 +101,6 @@ class MemoryBackend {
   explicit MemoryBackend(const DramConfig& config) : config_(config) {
     config_.validate();
   }
-  /// clone() support: copies model state, counters and the access clock, so
-  /// a clone continues exactly where the original stands.
-  MemoryBackend(const MemoryBackend&) = default;
 
   virtual Cycle service_read(LineAddr line, Cycle now) = 0;
   virtual Cycle service_write(LineAddr line, Cycle now) = 0;
@@ -144,9 +138,6 @@ class FixedLatencyBackend final : public MemoryBackend {
     return config_.fixed_latency;
   }
   [[nodiscard]] const char* name() const override { return "fixed"; }
-  [[nodiscard]] std::unique_ptr<MemoryBackend> clone() const override {
-    return std::make_unique<FixedLatencyBackend>(*this);
-  }
 
  protected:
   Cycle service_read(LineAddr /*line*/, Cycle /*now*/) override {
@@ -174,9 +165,6 @@ class BankRowBackend final : public MemoryBackend {
                : config_.closed_page_latency;
   }
   [[nodiscard]] const char* name() const override { return "bankrow"; }
-  [[nodiscard]] std::unique_ptr<MemoryBackend> clone() const override {
-    return std::make_unique<BankRowBackend>(*this);
-  }
 
   /// Bank index of `line` under the configured mapping (exposed so the
   /// conformance battery can check accounting against a reference model).
@@ -256,9 +244,6 @@ class WriteQueueBackend final : public MemoryBackend {
     return config_.fixed_latency + config_.wq_enqueue_latency;
   }
   [[nodiscard]] const char* name() const override { return "writequeue"; }
-  [[nodiscard]] std::unique_ptr<MemoryBackend> clone() const override {
-    return std::make_unique<WriteQueueBackend>(*this);
-  }
 
   /// Writes still buffered (not yet drained) as of the last access.
   [[nodiscard]] int pending_queue_depth() const override {

@@ -70,21 +70,48 @@ std::string compare_cells(const Value& golden, const Value& candidate) {
   return "golden " + golden.repr() + " vs candidate " + candidate.repr();
 }
 
+/// Describes how two unequal column lists differ: the type and unit
+/// changes of each column when the names match, else both name lists.
+std::string schema_change(const std::vector<Column>& golden,
+                          const std::vector<Column>& candidate) {
+  std::ostringstream oss;
+  oss << "column schema changed";
+  const bool same_names = std::equal(
+      golden.begin(), golden.end(), candidate.begin(), candidate.end(),
+      [](const Column& a, const Column& b) { return a.name == b.name; });
+  if (same_names) {
+    for (std::size_t c = 0; c < golden.size(); ++c) {
+      const Column& g = golden[c];
+      const Column& n = candidate[c];
+      if (g.type != n.type) {
+        oss << "; column '" << g.name << "' type changed: "
+            << to_string(g.type) << " -> " << to_string(n.type);
+      }
+      if (g.unit != n.unit) {
+        oss << "; column '" << g.name << "' unit changed: " << g.unit
+            << " -> " << n.unit;
+      }
+    }
+    return oss.str();
+  }
+  oss << " (golden:";
+  for (const Column& c : golden) {
+    oss << ' ' << c.name;
+  }
+  oss << " | candidate:";
+  for (const Column& c : candidate) {
+    oss << ' ' << c.name;
+  }
+  oss << ")";
+  return oss.str();
+}
+
 void diff_series(const std::string& bench, const Series& golden,
                  const Series& candidate, std::vector<DiffFinding>& out) {
   if (golden.columns() != candidate.columns()) {
-    std::ostringstream oss;
-    oss << "column schema changed (golden:";
-    for (const Column& c : golden.columns()) {
-      oss << ' ' << c.name;
-    }
-    oss << " | candidate:";
-    for (const Column& c : candidate.columns()) {
-      oss << ' ' << c.name;
-    }
-    oss << ")";
-    out.push_back(finding(Severity::kRegression, bench, golden.name(), "",
-                          -1, oss.str()));
+    out.push_back(
+        finding(Severity::kRegression, bench, golden.name(), "", -1,
+                schema_change(golden.columns(), candidate.columns())));
     return;
   }
   if (golden.num_rows() != candidate.num_rows()) {

@@ -17,13 +17,8 @@ void validate_request(const ReplayRequest& request) {
   PSLLC_ASSERT(request.setup != nullptr, "replay request needs a setup");
   const int num_cores = request.setup->config.num_cores;
   const ReplayWorkload& w = request.workload;
-  const int sources = (w.per_core != nullptr ? 1 : 0) +
-                      (w.shared != nullptr ? 1 : 0) +
-                      (w.shared_view != nullptr ? 1 : 0);
-  PSLLC_CONFIG_CHECK(
-      sources == 1,
-      "replay workload must set exactly one of per_core/shared/shared_view ("
-          << sources << " set)");
+  PSLLC_CONFIG_CHECK((w.per_core != nullptr) != (w.shared != nullptr),
+                     "replay workload must set exactly one of per_core/shared");
   if (w.per_core != nullptr) {
     PSLLC_CONFIG_CHECK(
         static_cast<int>(w.per_core->size()) <= num_cores,
@@ -47,7 +42,7 @@ void validate_request(const ReplayRequest& request) {
 }
 
 /// Binds the lanes of `body` to `workload` (borrowed): one trace per core,
-/// or one shared source on cores [0, replicas), core c shifted by
+/// or one shared trace on cores [0, replicas), core c shifted by
 /// c * window. Cores without a source stay empty.
 template <typename Backend>
 void bind_workload(core::SlotBody<Backend>& body,
@@ -59,12 +54,8 @@ void bind_workload(core::SlotBody<Backend>& body,
                        0);
       }
     } else if (c < workload.replicas) {
-      const Addr offset = workload.window * static_cast<Addr>(c);
-      if (workload.shared != nullptr) {
-        body.bind_lane(c, *workload.shared, offset);
-      } else {
-        body.bind_lane(c, *workload.shared_view, offset);
-      }
+      body.bind_lane(c, *workload.shared,
+                     workload.window * static_cast<Addr>(c));
     }
   }
 }

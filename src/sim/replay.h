@@ -15,23 +15,18 @@
 
 #include "core/system_config.h"
 #include "sim/runner.h"
-#include "trace/mapped_trace.h"
 
 namespace psllc::sim {
 
 /// What each core replays. Exactly one source must be set:
 ///  * per_core — one trace per core (sweep cells), padded with idle cores;
-///  * shared — one materialized trace replayed on cores [0, replicas) with
-///    per-core address offset c * window (corpus solo/mirrored replay);
-///  * shared_view — as `shared`, but decoded straight off a mapped .pslt
-///    view in batches, with the offset applied at decode time (no
-///    materialized copies).
-/// All pointers are borrowed; they must outlive the replay() call.
+///  * shared — one trace replayed on cores [0, replicas) with per-core
+///    address offset c * window (corpus solo/mirrored replay).
+/// Both pointers are borrowed; they must outlive the replay() call.
 struct ReplayWorkload {
   const std::vector<core::Trace>* per_core = nullptr;
   const core::Trace* shared = nullptr;
-  const trace::MappedTrace* shared_view = nullptr;
-  int replicas = 1;  ///< cores replaying a shared source
+  int replicas = 1;  ///< cores replaying the shared trace
   Addr window = 0;   ///< per-replica address shift (0 = overlapped)
 };
 

@@ -1,9 +1,7 @@
 #include "trace/binary_io.h"
 
-#include <algorithm>
 #include <array>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <vector>
@@ -111,43 +109,6 @@ void write_trace_binary_file(const std::string& path,
   if (!output) {
     throw std::runtime_error("error writing trace file: " + path);
   }
-}
-
-core::Trace read_trace_binary(std::istream& input) {
-  std::array<unsigned char, kHeaderBytes> header_bytes{};
-  input.read(reinterpret_cast<char*>(header_bytes.data()),
-             static_cast<std::streamsize>(header_bytes.size()));
-  const TraceHeader header = decode_header(
-      header_bytes.data(), static_cast<std::size_t>(input.gcount()));
-
-  const std::size_t stride = record_bytes(header.addr_width_bits);
-  core::Trace out;
-  // The header's count is untrusted until the records actually arrive:
-  // cap the up-front reservation so a corrupt count fails through the
-  // truncation check below (ConfigError), not an allocation failure.
-  out.reserve(std::min<std::uint64_t>(header.op_count, 1 << 20));
-  constexpr std::size_t kChunkRecords = 4096;
-  std::vector<unsigned char> chunk(kChunkRecords * stride);
-  std::uint64_t decoded = 0;
-  while (decoded < header.op_count) {
-    const std::uint64_t want =
-        std::min<std::uint64_t>(kChunkRecords, header.op_count - decoded);
-    input.read(reinterpret_cast<char*>(chunk.data()),
-               static_cast<std::streamsize>(want * stride));
-    const auto got = static_cast<std::uint64_t>(input.gcount());
-    PSLLC_CONFIG_CHECK(got == want * stride,
-                       "binary trace: truncated record payload (record "
-                           << (decoded + got / stride) << " of "
-                           << header.op_count << ")");
-    out.resize(decoded + want);
-    decode_records(chunk.data(), header.addr_width_bits, decoded, want, 0,
-                   out.data() + decoded);
-    decoded += want;
-  }
-  // A well-formed stream ends exactly after the last record.
-  PSLLC_CONFIG_CHECK(input.peek() == std::char_traits<char>::eof(),
-                     "binary trace: trailing bytes after the last record");
-  return out;
 }
 
 core::Trace read_trace_binary_file(const std::string& path) {

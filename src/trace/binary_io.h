@@ -1,7 +1,6 @@
-// Streaming writer/reader for the PSLT binary trace format (trace/format.h).
-// The writer is the only producer; the reader here is the std::istream
-// fallback for non-seekable sources — files should go through
-// trace::MappedTrace (used by read_trace_binary_file) for zero-copy access.
+// Writer for the PSLT binary trace format (trace/format.h), the only
+// producer of .pslt files, and the whole-file reader. Files are read
+// through trace::MappedTrace.
 #ifndef PSLLC_TRACE_BINARY_IO_H_
 #define PSLLC_TRACE_BINARY_IO_H_
 
@@ -35,13 +34,11 @@ void write_trace_binary_file(const std::string& path,
                              const core::Trace& trace,
                              const BinaryWriteOptions& options = {});
 
-/// Streaming decode of a whole PSLT stream. Throws ConfigError on malformed
-/// input (bad magic/version/width, truncated header or records).
-[[nodiscard]] core::Trace read_trace_binary(std::istream& input);
-
-/// File decode: mmap-backed via MappedTrace, falling back to buffered
-/// reads when mapping is unavailable. Throws std::runtime_error when the
-/// file cannot be opened, ConfigError when its contents are malformed.
+/// Decodes the whole file through MappedTrace (mmap-backed, falling back
+/// to one buffered read when mapping is unavailable). Throws
+/// std::runtime_error when the file cannot be opened, ConfigError when its
+/// contents are malformed (bad magic/version/width, truncated header or
+/// records, trailing bytes, bad type byte).
 [[nodiscard]] core::Trace read_trace_binary_file(const std::string& path);
 
 }  // namespace psllc::trace

@@ -1,15 +1,11 @@
-// Zero-copy view of a binary (.pslt) trace file. The file is mmap'd
-// read-only and records are decoded in place on access, so opening and
-// validating a multi-GiB corpus entry costs one mmap (shared page cache
-// across processes), not a parse pass or a heap image. Replay reads a
-// view through the slot body's lane cursor
-// (core/slot_body.h), which decodes records in batches with
-// decode_batch(), so replay needs no materialized copy either; to_trace()
-// remains for callers that want a core::Trace. When mmap is unavailable
-// (non-POSIX host, or an mmap failure on a regular file) the file is read
-// into an owned buffer instead — same interface, one copy. Non-seekable
-// sources (pipes, FIFOs) are out of scope here; feed them to
-// trace::read_trace_binary.
+// Read-only view of a binary (.pslt) trace file. The file is mmap'd
+// read-only and validated on open; records are decoded in place, one at a
+// time (operator[]) or in batches (decode_batch). Replay lanes read
+// core::Trace only, so loading a file for replay is to_trace(), one
+// decode pass into one heap image (trace::read_trace_binary_file). When
+// mmap is unavailable (non-POSIX host, or an mmap failure on a regular
+// file) the file is read into an owned buffer instead — same interface,
+// one copy. Non-seekable sources (pipes, FIFOs) are not supported.
 #ifndef PSLLC_TRACE_MAPPED_TRACE_H_
 #define PSLLC_TRACE_MAPPED_TRACE_H_
 
@@ -48,9 +44,9 @@ class MappedTrace {
 
   /// Decodes `count` records starting at `first` into `out` (which must
   /// hold `count` ops), adding `addr_offset` to every address. One call per
-  /// lane-cursor chunk amortizes the per-record call overhead while the
-  /// bytes stay on the mapped view. Throws ConfigError naming the first
-  /// record with a bad type byte.
+  /// batch amortizes the per-record call overhead while the bytes stay on
+  /// the mapped view; to_trace() decodes through it. Throws ConfigError
+  /// naming the first record with a bad type byte.
   void decode_batch(std::uint64_t first, std::uint64_t count,
                     Addr addr_offset, core::MemOp* out) const;
 

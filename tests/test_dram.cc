@@ -2,8 +2,7 @@
 // honor the WCL contract of mem/memory_backend.h under randomized address
 // streams: no single access above worst_case_latency(), counters that sum
 // correctly, row-hit/miss accounting that matches an independent reference
-// model, clones that continue bit-identically, and config validation that
-// rejects inconsistent parameters.
+// model, and config validation that rejects inconsistent parameters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -119,26 +118,6 @@ TEST_P(BackendConformance, CountersSumCorrectly) {
       break;
     }
   }
-}
-
-TEST_P(BackendConformance, CloneContinuesBitIdentically) {
-  const Variant& variant = GetParam();
-  const auto original = variant.config.make_backend();
-  const std::vector<Access> stream = random_stream(3, 4000);
-  for (int i = 0; i < 2000; ++i) {
-    (void)apply(*original, stream[static_cast<std::size_t>(i)]);
-  }
-  const auto clone = original->clone();
-  EXPECT_EQ(clone->counters().accesses(), original->counters().accesses());
-  for (int i = 2000; i < 4000; ++i) {
-    const Access& access = stream[static_cast<std::size_t>(i)];
-    ASSERT_EQ(apply(*original, access), apply(*clone, access))
-        << variant.label << " diverged at access " << i;
-  }
-  EXPECT_EQ(clone->counters().max_latency, original->counters().max_latency);
-  EXPECT_EQ(clone->counters().row_hits, original->counters().row_hits);
-  EXPECT_EQ(clone->counters().drained_writes,
-            original->counters().drained_writes);
 }
 
 INSTANTIATE_TEST_SUITE_P(

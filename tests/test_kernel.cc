@@ -4,12 +4,11 @@
 // sim::replay() and sim::replay_every_slot(), which steps every slot of the
 // same system, must produce bit-identical RunMetrics — every scalar, every
 // per-core vector, every LLC and memory counter — and identical trace-log
-// streams. Also covers the shared/mirrored and mapped-view workloads.
+// streams. Also covers the shared/mirrored workload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,8 +21,6 @@
 #include "sim/experiment.h"
 #include "sim/replay.h"
 #include "sim/workload.h"
-#include "trace/binary_io.h"
-#include "trace/mapped_trace.h"
 
 namespace psllc::sim {
 namespace {
@@ -193,36 +190,6 @@ TEST(KernelDifferential, MatchesLegacyOnSharedWorkloads) {
     const auto [kernel, legacy] = run_both(request);
     EXPECT_TRUE(kernel == legacy) << label;
   }
-}
-
-// The mapped-view workload: both engines batch-decode records straight off
-// the .pslt mmap. Same metrics either way, and identical to replaying the
-// materialized trace.
-TEST(KernelDifferential, MatchesLegacyOnMappedView) {
-  RandomWorkloadOptions workload;
-  workload.range_bytes = 32768;
-  workload.accesses = 1500;
-  const core::Trace trace = make_uniform_random_trace(0, workload, 4242);
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "psllc_kernel_view.pslt";
-  trace::write_trace_binary_file(path.string(), trace, {});
-  const trace::MappedTrace view(path.string());
-  const core::ExperimentSetup setup = core::make_paper_setup("SS(1,4,4)", 4);
-
-  ReplayRequest request;
-  request.setup = &setup;
-  request.workload.shared_view = &view;
-  request.workload.replicas = 4;
-  request.workload.window = Addr{1} << 20;
-  const auto [kernel, legacy] = run_both(request);
-  EXPECT_TRUE(kernel == legacy) << "mapped view";
-
-  ReplayRequest materialized = request;
-  materialized.workload.shared_view = nullptr;
-  materialized.workload.shared = &trace;
-  EXPECT_TRUE(replay(materialized).metrics == legacy)
-      << "view vs materialized";
-  std::filesystem::remove(path);
 }
 
 /// What the reference driver saw after each slot it stepped.

@@ -323,8 +323,12 @@ TEST(Diff, SchemaChangeIsARegressionNotACellDiff) {
   series.add_row({Value::of_int(1024), Value::of_int(1000)});
   const auto findings = diff_bench_results(golden, candidate);
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_NE(findings[0].message.find("column schema changed"),
-            std::string::npos);
+  const std::string& message = findings[0].message;
+  EXPECT_NE(message.find("column schema changed"), std::string::npos);
+  EXPECT_NE(message.find("column 'wcl' unit changed: cycles -> ns"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("range_bytes"), std::string::npos) << message;
 }
 
 TEST(DiffDirectories, MissingBenchFailsAndExtraBenchIsInfo) {

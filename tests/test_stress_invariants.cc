@@ -184,8 +184,8 @@ TEST(WriteQueueStress, SaturatedDirtyEvictionsStayBoundedAndLossless) {
 }
 
 // The sweep harness must stay bit-identical across worker-thread counts
-// with a stateful memory backend: every System owns a fresh backend clone,
-// so no memory-model state leaks between cells.
+// with a stateful memory backend: every system owns a fresh backend, so no
+// memory-model state leaks between cells.
 TEST(WriteQueueStress, SweepDeterministicAcrossThreadCounts) {
   sim::SweepOptions serial;
   serial.address_ranges = {8192, 32768};
