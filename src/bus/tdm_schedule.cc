@@ -1,6 +1,7 @@
 #include "bus/tdm_schedule.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/assert.h"
@@ -39,6 +40,8 @@ TdmSchedule::TdmSchedule(std::vector<CoreId> slots, Cycle slot_width)
     : slots_(std::move(slots)), slot_width_(slot_width) {
   PSLLC_CONFIG_CHECK(slot_width_ > 0, "slot width must be positive");
   PSLLC_CONFIG_CHECK(!slots_.empty(), "schedule needs at least one slot");
+  period_mask_ = slots_.size() - 1;
+  pow2_period_ = std::has_single_bit(slots_.size());
   int max_id = -1;
   for (CoreId c : slots_) {
     PSLLC_CONFIG_CHECK(c.valid(), "schedule contains an invalid core id");
@@ -59,20 +62,9 @@ bool TdmSchedule::is_one_slot_tdm() const {
   return slots_per_period() == num_cores_;
 }
 
-CoreId TdmSchedule::owner_of_slot(std::int64_t slot_index) const {
-  PSLLC_ASSERT(slot_index >= 0, "negative slot index");
-  return slots_[static_cast<std::size_t>(
-      slot_index % static_cast<std::int64_t>(slots_.size()))];
-}
-
 std::int64_t TdmSchedule::slot_at(Cycle cycle) const {
   PSLLC_ASSERT(cycle >= 0, "negative cycle");
   return cycle / slot_width_;
-}
-
-Cycle TdmSchedule::slot_start(std::int64_t slot_index) const {
-  PSLLC_ASSERT(slot_index >= 0, "negative slot index");
-  return slot_index * slot_width_;
 }
 
 std::int64_t TdmSchedule::next_slot_of(CoreId core,

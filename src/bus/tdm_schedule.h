@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/types.h"
 
 namespace psllc::bus {
@@ -43,14 +44,24 @@ class TdmSchedule {
   /// Definition 4.1: exactly one slot per core per period.
   [[nodiscard]] bool is_one_slot_tdm() const;
 
-  /// Owner of the (global, 0-based) slot index.
-  [[nodiscard]] CoreId owner_of_slot(std::int64_t slot_index) const;
+  /// Owner of the (global, 0-based) slot index. Defined here, like
+  /// slot_start, because the slot body asks it for every executed slot; a
+  /// power-of-two period masks instead of dividing.
+  [[nodiscard]] CoreId owner_of_slot(std::int64_t slot_index) const {
+    PSLLC_ASSERT(slot_index >= 0, "negative slot index");
+    const auto index = static_cast<std::uint64_t>(slot_index);
+    return slots_[static_cast<std::size_t>(
+        pow2_period_ ? index & period_mask_ : index % slots_.size())];
+  }
 
   /// Global index of the slot containing `cycle`.
   [[nodiscard]] std::int64_t slot_at(Cycle cycle) const;
 
   /// First cycle of global slot `slot_index`.
-  [[nodiscard]] Cycle slot_start(std::int64_t slot_index) const;
+  [[nodiscard]] Cycle slot_start(std::int64_t slot_index) const {
+    PSLLC_ASSERT(slot_index >= 0, "negative slot index");
+    return slot_index * slot_width_;
+  }
 
   /// First global slot index >= `from_slot` owned by `core`.
   [[nodiscard]] std::int64_t next_slot_of(CoreId core,
@@ -77,6 +88,8 @@ class TdmSchedule {
   TdmSchedule(std::vector<CoreId> slots, Cycle slot_width);
 
   std::vector<CoreId> slots_;
+  std::uint64_t period_mask_ = 0;  ///< slots_per_period - 1
+  bool pow2_period_ = true;        ///< owner_of_slot may mask, not divide
   Cycle slot_width_;
   int num_cores_;
 };

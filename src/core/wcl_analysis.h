@@ -97,8 +97,10 @@ enum class Boundedness : std::uint8_t { kBounded, kUnbounded };
 
 /// The steady-state analytical WCL for `cua` under one concrete partition
 /// map (dispatches on the map: shared + sequencer -> Thm 4.8, shared
-/// best-effort -> Thm 4.7, sole sharer -> private bound). Throws
-/// ConfigError when unbounded.
+/// best-effort -> Thm 4.7, sole sharer -> the private bound of the
+/// configured schedule). Throws ConfigError when unbounded, and for a
+/// shared partition under a schedule that is not 1S-TDM, where no bound is
+/// derived yet.
 [[nodiscard]] Cycle analytical_wcl_cycles(const SystemConfig& config,
                                           const llc::PartitionMap& map,
                                           CoreId cua);

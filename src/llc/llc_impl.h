@@ -169,7 +169,7 @@ bool BasicPartitionedLlc<Memory>::may_allocate(SetKey key, CoreId core) const {
   }
   // Set sequencer: FIFO order. A core may allocate iff nobody is queued
   // (no contention so far) or it is at the head of the queue.
-  return !sequencer_.has_queue(key) || sequencer_.is_head(key, core);
+  return sequencer_.may_claim(key, core);
 }
 
 template <typename Memory>
@@ -272,9 +272,8 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
 
     // Enqueue in the sequencer before deciding on evictions, so arrival
     // order is recorded on the first blocked presentation.
-    if (mode_ == ContentionMode::kSetSequencer &&
-        !sequencer_.is_queued(key, core)) {
-      sequencer_.enqueue(key, core);
+    if (mode_ == ContentionMode::kSetSequencer) {
+      (void)sequencer_.enqueue_if_absent(key, core);
     }
 
     // Entries pending invalidation or draining count as supply: each is
@@ -331,15 +330,10 @@ template <typename Memory>
 void BasicPartitionedLlc<Memory>::complete_pending(CoreId core, SetKey key) {
   auto& pending = pending_[static_cast<std::size_t>(core.value)];
   PSLLC_ASSERT(pending.has_value(), "no pending request to complete");
-  if (mode_ == ContentionMode::kSetSequencer &&
-      sequencer_.is_queued(key, core)) {
-    if (sequencer_.is_head(key, core)) {
-      sequencer_.dequeue_head(key, core);
-    } else {
-      // Satisfied out of order (e.g. hit after another sharer fetched the
-      // line); remove from the middle.
-      sequencer_.remove(key, core);
-    }
+  if (mode_ == ContentionMode::kSetSequencer) {
+    // Pops the head, or erases a core satisfied out of order (e.g. a hit
+    // after another sharer fetched the line); unqueued cores are untouched.
+    sequencer_.release(key, core);
   }
   pending.reset();
 }
@@ -453,9 +447,8 @@ void BasicPartitionedLlc<Memory>::drop_pending_request(CoreId core) {
     return;
   }
   const SetKey key{pending->partition, pending->physical_set};
-  if (mode_ == ContentionMode::kSetSequencer &&
-      sequencer_.is_queued(key, core)) {
-    sequencer_.remove(key, core);
+  if (mode_ == ContentionMode::kSetSequencer) {
+    sequencer_.release(key, core);
   }
   pending.reset();
 }

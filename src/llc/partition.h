@@ -36,10 +36,12 @@ struct PartitionSpec {
 
   [[nodiscard]] int capacity_lines() const { return num_sets * num_ways; }
 
-  /// Physical set index that `line` maps to inside this partition.
+  /// Physical set index that `line` maps to inside this partition. Every
+  /// request, write-back and ack maps its line, so a power-of-two set count
+  /// masks instead of dividing.
   [[nodiscard]] int map_set(LineAddr line) const {
     const auto sets = static_cast<std::uint64_t>(num_sets);
-    std::uint64_t index = line % sets;
+    std::uint64_t key = line;
     if (mapping == SetMapping::kXorFold) {
       // Fold the next group of index bits in; any deterministic
       // line->set function is admissible for the analysis.
@@ -47,8 +49,10 @@ struct PartitionSpec {
       while ((1 << shift) < num_sets) {
         ++shift;
       }
-      index = (line ^ (line >> shift)) % sets;
+      key = line ^ (line >> shift);
     }
+    const std::uint64_t index =
+        (sets & (sets - 1)) == 0 ? key & (sets - 1) : key % sets;
     return first_set + static_cast<int>(index);
   }
 

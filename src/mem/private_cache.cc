@@ -127,10 +127,15 @@ std::optional<Evicted> PrivateCacheHierarchy::fill(Addr addr, AccessType type,
 
 ForcedEviction PrivateCacheHierarchy::force_evict(LineAddr line) {
   ForcedEviction result;
-  for (CacheLevel* level : {&l1i_, &l1d_, &l2_}) {
-    if (auto v = level->remove(line)) {
-      result.was_present = true;
-      result.was_dirty = result.was_dirty || v->dirty;
+  // Inclusion: a line absent from L2 is in neither L1, so an L2 miss ends
+  // the probe (the audit below still checks all three levels).
+  if (const auto v = l2_.remove(line)) {
+    result.was_present = true;
+    result.was_dirty = v->dirty;
+    for (CacheLevel* l1 : {&l1i_, &l1d_}) {
+      if (const auto v1 = l1->remove(line)) {
+        result.was_dirty = result.was_dirty || v1->dirty;
+      }
     }
   }
   PSLLC_AUDIT(!l1i_.contains(line) && !l1d_.contains(line) &&

@@ -222,8 +222,9 @@ class PrivateCacheHierarchy {
   /// resulting write-back / directory notification.
   std::optional<Evicted> fill(Addr addr, AccessType type, bool write);
 
-  /// Back-invalidation from the inclusive LLC: removes `line` from L1s and
-  /// L2, reporting presence and merged dirtiness.
+  /// Back-invalidation from the inclusive LLC: removes `line` from L2 and,
+  /// when L2 held it, from both L1s (under inclusion an L2 miss means no L1
+  /// copy), reporting presence and merged dirtiness.
   ForcedEviction force_evict(LineAddr line);
 
   /// True if `line` is resident in L2 (by inclusion, covers the L1s).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -26,18 +27,11 @@ const SweepCell& SweepResult::cell(int range_index, int config_index) const {
 namespace {
 
 // Computes one grid cell through the shared replay entry point. Every cell
-// builds its own engine state and its own traces, so cells share no mutable
-// state and can run on any thread.
+// builds its own engine state and only reads the traces it borrows, so
+// cells share no mutable state and can run on any thread.
 SweepCell run_cell(const SweepConfig& config, std::int64_t range,
+                   const std::vector<core::Trace>& traces,
                    const SweepOptions& options) {
-  RandomWorkloadOptions workload;
-  workload.range_bytes = range;
-  workload.accesses = options.accesses_per_core;
-  workload.write_fraction = options.write_fraction;
-  // Trace identity: (seed, core, range) only — identical addresses for
-  // every configuration, as the paper requires.
-  const std::vector<core::Trace> traces = make_disjoint_random_workload(
-      config.active_cores, workload, options.seed);
   core::ExperimentSetup setup =
       core::make_paper_setup(config.notation, config.active_cores);
   setup.config.dram = options.dram;
@@ -52,6 +46,17 @@ SweepCell run_cell(const SweepConfig& config, std::int64_t range,
   cell.metrics = replay(request).metrics;
   return cell;
 }
+
+// The traces of one address range, one set per active-core count. Trace
+// identity is (seed, core, range) only — identical addresses for every
+// configuration, as the paper requires — so each set is generated by the
+// range's first cell that needs it and lent to every configuration of the
+// range; the range's last cell frees them all.
+struct RangeTraces {
+  std::mutex mutex;
+  std::map<int, std::vector<core::Trace>> by_cores;  // nodes never move
+  std::size_t cells_left = 0;
+};
 
 }  // namespace
 
@@ -69,6 +74,11 @@ SweepResult run_sweep(const std::vector<SweepConfig>& configs,
   const std::size_t total = configs.size() * options.address_ranges.size();
   result.cells.resize(total);
 
+  std::vector<RangeTraces> range_traces(options.address_ranges.size());
+  for (RangeTraces& traces : range_traces) {
+    traces.cells_left = configs.size();
+  }
+
   // Cell index in row-major (range, config) order, matching
   // SweepResult::cell — each worker writes only its own slot, so the result
   // layout (and every byte of the rendered tables) is independent of thread
@@ -76,8 +86,30 @@ SweepResult run_sweep(const std::vector<SweepConfig>& configs,
   const auto compute = [&](std::size_t index) {
     const std::size_t r = index / configs.size();
     const std::size_t c = index % configs.size();
-    result.cells[index] =
-        run_cell(configs[c], options.address_ranges[r], options);
+    const std::int64_t range = options.address_ranges[r];
+    RangeTraces& lent = range_traces[r];
+    const std::vector<core::Trace>* traces = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(lent.mutex);
+      const int cores = configs[c].active_cores;
+      auto it = lent.by_cores.find(cores);
+      if (it == lent.by_cores.end()) {
+        RandomWorkloadOptions workload;
+        workload.range_bytes = range;
+        workload.accesses = options.accesses_per_core;
+        workload.write_fraction = options.write_fraction;
+        it = lent.by_cores
+                 .emplace(cores, make_disjoint_random_workload(
+                                     cores, workload, options.seed))
+                 .first;
+      }
+      traces = &it->second;
+    }
+    result.cells[index] = run_cell(configs[c], range, *traces, options);
+    const std::lock_guard<std::mutex> lock(lent.mutex);
+    if (--lent.cells_left == 0) {
+      lent.by_cores.clear();
+    }
   };
 
   std::size_t worker_count =

@@ -350,9 +350,11 @@ TEST(SetSequencer, HardwareCapacityAsserts) {
   EXPECT_THROW(seq.dequeue_head(SetKey{0, 0}, CoreId{1}), AssertionError);
 }
 
-// Random enqueue / dequeue_head / remove / clear sequences against a
-// std::map of std::deques. Core ids include 63, the top bit of the QLT
-// member masks. Every query is checked after every step, and rejected
+// Random enqueue / enqueue_if_absent / release / dequeue_head / remove /
+// clear sequences against a std::map of std::deques; release() also hits
+// cores that are not queued. Core ids include 63, the top bit of the QLT
+// member masks. Every query (may_claim included) is checked after every
+// step, and rejected
 // operations (a duplicate enqueue, a dequeue of a non-head) must leave the
 // state unchanged.
 TEST(SetSequencer, MatchesDequeReference) {
@@ -384,6 +386,8 @@ TEST(SetSequencer, MatchesDequeReference) {
             << "step " << step << " " << to_string(core);
         ASSERT_EQ(seq.is_queued(key, core), expected >= 0) << "step " << step;
         ASSERT_EQ(seq.is_head(key, core), expected == 0) << "step " << step;
+        ASSERT_EQ(seq.may_claim(key, core), !queued || expected == 0)
+            << "step " << step;
       }
     }
     ASSERT_EQ(seq.active_queues(), live) << "step " << step;
@@ -393,18 +397,32 @@ TEST(SetSequencer, MatchesDequeReference) {
     const CoreId core = cores[rng.next_below(std::size(cores))];
     auto it = reference.find(key);
     const std::uint64_t op = rng.next_below(100);
-    if (op < 45) {
-      const bool present =
-          it != reference.end() &&
-          std::find(it->second.begin(), it->second.end(), core) !=
-              it->second.end();
+    const bool present =
+        it != reference.end() &&
+        std::find(it->second.begin(), it->second.end(), core) !=
+            it->second.end();
+    if (op < 25) {
       if (present) {
         EXPECT_THROW(seq.enqueue(key, core), AssertionError);
       } else {
         seq.enqueue(key, core);
         reference[key].push_back(core);
       }
-    } else if (op < 70) {
+    } else if (op < 45) {
+      EXPECT_EQ(seq.enqueue_if_absent(key, core), !present)
+          << "step " << step;
+      if (!present) {
+        reference[key].push_back(core);
+      }
+    } else if (op < 60) {
+      // release() of any core, queued or not: pops the head, erases from
+      // the middle, or leaves the queue as it is.
+      seq.release(key, core);
+      if (present) {
+        it->second.erase(
+            std::find(it->second.begin(), it->second.end(), core));
+      }
+    } else if (op < 75) {
       if (it != reference.end()) {
         const CoreId head = it->second.front();
         if (core != head) {

@@ -13,6 +13,7 @@
 #include "common/assert.h"
 #include "common/rng.h"
 #include "sim/experiment.h"
+#include "sim/replay.h"
 #include "sim/runner.h"
 #include "sim/trace_io.h"
 #include "sim/workload.h"
@@ -376,6 +377,51 @@ TEST(Sweep, ParallelMatchesSerialBitIdentical) {
   EXPECT_EQ(wcl_table(serial).to_csv(), wcl_table(parallel).to_csv());
   EXPECT_EQ(exec_time_table(serial).to_csv(),
             exec_time_table(parallel).to_csv());
+}
+
+TEST(Sweep, LentRangeTracesMatchFreshPerCellReplays) {
+  // run_sweep generates each range's traces once per active-core count and
+  // lends them to every configuration of the range. Each cell must equal a
+  // replay of that cell alone on freshly generated traces, serially and on
+  // a pool; the grid mixes active-core counts within each range.
+  const std::vector<SweepConfig> configs = {
+      {"P(32,4)", 4}, {"P(32,8)", 2}, {"SS(32,16,4)", 4}};
+  SweepOptions options;
+  options.address_ranges = {4096, 16384, 65536};
+  options.accesses_per_core = 1500;
+  options.seed = 2024;
+  std::vector<RunMetrics> reference;
+  for (const std::int64_t range : options.address_ranges) {
+    for (const SweepConfig& config : configs) {
+      RandomWorkloadOptions workload;
+      workload.range_bytes = range;
+      workload.accesses = options.accesses_per_core;
+      workload.write_fraction = options.write_fraction;
+      const std::vector<core::Trace> traces = make_disjoint_random_workload(
+          config.active_cores, workload, options.seed);
+      core::ExperimentSetup setup =
+          core::make_paper_setup(config.notation, config.active_cores);
+      setup.config.dram = options.dram;
+      ReplayRequest request;
+      request.setup = &setup;
+      request.workload.per_core = &traces;
+      request.options.max_cycles = options.max_cycles;
+      reference.push_back(replay(request).metrics);
+    }
+  }
+  for (const int threads : {1, 4}) {
+    options.threads = threads;
+    const SweepResult result = run_sweep(configs, options);
+    ASSERT_EQ(result.cells.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_TRUE(result.cells[i].metrics.completed)
+          << "threads " << threads << " cell " << i;
+      EXPECT_TRUE(result.cells[i].metrics == reference[i])
+          << "threads " << threads << " cell " << i << " "
+          << result.cells[i].config.notation << " range "
+          << result.cells[i].range_bytes;
+    }
+  }
 }
 
 TEST(Sweep, DefaultThreadCountMatchesSerial) {

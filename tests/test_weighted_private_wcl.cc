@@ -5,6 +5,7 @@
 
 #include "core/system.h"
 #include "core/wcl_analysis.h"
+#include "sim/replay.h"
 #include "sim/workload.h"
 
 namespace psllc::core {
@@ -106,6 +107,36 @@ TEST(WeightedPrivateWcl, SelfConflictHitsTheBoundExactly) {
   const Cycle bound = wcl_private_cycles(system.schedule(), CoreId{0});
   EXPECT_EQ(bound, 7 * 50);  // present slot0 -> wb slot3 -> retry slot6
   EXPECT_EQ(system.tracker().service_latency(CoreId{0}).max(), bound);
+}
+
+// The bound sim::replay reports for a weighted schedule. A sole sharer gets
+// the private bound of the configured schedule: under {c0, c1, c1} core 0
+// presents at slot 0, writes back at slot 3 and retries at slot 6, 7 slots
+// and not the 1S-TDM (2N+1) = 5. A shared partition has no derived bound
+// under a multi-slot schedule, so its cell is refused.
+TEST(WeightedPrivateWcl, ReplayReportsTheWeightedBoundAndRefusesSharing) {
+  sim::RandomWorkloadOptions workload;
+  workload.range_bytes = 4096;
+  workload.accesses = 2000;
+  const std::vector<Trace> traces =
+      sim::make_disjoint_random_workload(2, workload, 5);
+  const auto replay_under_weights = [&](std::string_view notation) {
+    ExperimentSetup setup = make_paper_setup(notation, 2);
+    setup.config.schedule_slots = {CoreId{0}, CoreId{1}, CoreId{1}};
+    setup.config.validate();
+    sim::ReplayRequest request;
+    request.setup = &setup;
+    request.workload.per_core = &traces;
+    return sim::replay(request).metrics;
+  };
+  for (const char* notation : {"P(1,2)", "P(2,2)", "P(8,2)"}) {
+    const sim::RunMetrics metrics = replay_under_weights(notation);
+    ASSERT_TRUE(metrics.completed) << notation;
+    EXPECT_EQ(metrics.analytical_wcl, 7 * 50) << notation;
+    EXPECT_EQ(metrics.observed_wcl, 7 * 50) << notation;
+    EXPECT_LE(metrics.observed_wcl, metrics.analytical_wcl) << notation;
+  }
+  EXPECT_THROW((void)replay_under_weights("SS(1,2,2)"), ConfigError);
 }
 
 }  // namespace
