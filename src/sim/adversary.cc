@@ -1,16 +1,18 @@
 #include "sim/adversary.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <deque>
 #include <numeric>
 #include <unordered_set>
 #include <utility>
 
 #include "common/assert.h"
 #include "common/string_util.h"
-#include "sim/batch.h"
 #include "sim/replay.h"
 #include "sim/shard.h"
+#include "sim/task_pool.h"
 #include "sim/trace_io.h"
 
 namespace psllc::sim {
@@ -542,84 +544,108 @@ AdversaryCell evaluate_cell(const AttackSpec& spec, const SweepConfig& config,
 
 namespace {
 
-AdversaryTrack run_track(AttackKind kind, const SweepConfig& config,
-                         const AdversaryOptions& options) {
-  AdversaryTrack track;
-  track.kind = kind;
-  track.config = config;
-  track.ran = true;
-  track.cells.reserve(static_cast<std::size_t>(options.cells_per_track()));
-
-  // The track's mutation stream depends only on (search seed, track key) —
-  // not on thread scheduling or shard layout.
-  Rng rng(mix_seed(options.seed, fnv1a64(track_key(kind, config))));
-  std::unordered_set<std::string> seen_ids;  // membership tests only
-
-  const auto push_cell = [&](const AttackSpec& spec, int round) {
-    seen_ids.insert(spec.id());
-    track.cells.push_back(evaluate_cell(spec, config, options, round));
-  };
-
-  for (const AttackSpec& spec :
-       seed_manifest(kind, options.seed, options.ops_per_core)) {
-    push_cell(spec, 0);
+/// One track's hill-climb as pool tasks: each round is one task per cell,
+/// and the round's last cell to finish ranks the cells so far and mutates
+/// the next round's specs. So the mutation stream is drawn serially, in
+/// round order, and a track waits only on its own cells.
+class TrackSearch {
+ public:
+  /// Plans the seed manifest as round 0.
+  TrackSearch(AdversaryTrack& track, const AdversaryOptions& options)
+      : track_(track),
+        options_(options),
+        key_(track_key(track.kind, track.config)),
+        // The track's mutation stream depends only on (search seed, track
+        // key) — not on thread scheduling or shard layout.
+        rng_(mix_seed(options.seed, fnv1a64(key_))) {
+    track_.ran = true;
+    track_.cells.resize(static_cast<std::size_t>(options.cells_per_track()));
+    for (const AttackSpec& spec :
+         seed_manifest(track.kind, options.seed, options.ops_per_core)) {
+      plan(spec);
+    }
   }
 
-  for (int round = 1; round <= options.rounds; ++round) {
+  /// Queues the cells planned from slot `begin` on: the current round's.
+  void queue_round(TaskPool& pool, std::size_t begin) {
+    // Read once: the round's last cell may plan the next round (moving
+    // planned_) while this loop is still queuing.
+    const std::size_t end = planned_;
+    pending_ = end - begin;
+    for (std::size_t i = begin; i < end; ++i) {
+      pool.enqueue([this, &pool, i] {
+        run_named("adversary search failed:", key_, [&] {
+          AdversaryCell& cell = track_.cells[i];
+          cell = evaluate_cell(cell.spec, track_.config, options_, cell.round);
+          if (pending_.fetch_sub(1) == 1 && round_ < options_.rounds) {
+            const std::size_t next = planned_;
+            plan_next_round();
+            queue_round(pool, next);
+          }
+        });
+      });
+    }
+  }
+
+ private:
+  /// Claims the next cell slot for `spec` in the current round.
+  void plan(const AttackSpec& spec) {
+    seen_ids_.insert(spec.id());
+    AdversaryCell& cell = track_.cells[planned_++];
+    cell.spec = spec;
+    cell.round = round_;
+  }
+
+  void plan_next_round() {
+    ++round_;
     // Rank the worst offenders: lowest slack first, content ID as the
     // deterministic tie-break.
-    std::vector<std::size_t> order(track.cells.size());
+    std::vector<std::size_t> order(planned_);
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) {
-                const AdversaryCell& ca = track.cells[a];
-                const AdversaryCell& cb = track.cells[b];
+                const AdversaryCell& ca = track_.cells[a];
+                const AdversaryCell& cb = track_.cells[b];
                 if (ca.slack != cb.slack) {
                   return ca.slack < cb.slack;
                 }
                 return ca.spec.id() < cb.spec.id();
               });
     const int take =
-        std::min<int>(options.survivors, static_cast<int>(order.size()));
-    // Copy the survivor specs up front: push_cell grows track.cells.
-    std::vector<AttackSpec> survivors;
-    survivors.reserve(static_cast<std::size_t>(take));
+        std::min<int>(options_.survivors, static_cast<int>(order.size()));
     for (int s = 0; s < take; ++s) {
-      survivors.push_back(track.cells[order[static_cast<std::size_t>(s)]]
-                              .spec);
-    }
-    for (const AttackSpec& survivor : survivors) {
-      for (int m = 0; m < options.mutants; ++m) {
+      // Survivors sit in earlier rounds' slots, which plan() never writes.
+      const AttackSpec& survivor =
+          track_.cells[order[static_cast<std::size_t>(s)]].spec;
+      for (int m = 0; m < options_.mutants; ++m) {
         AttackSpec mutant = survivor;
         bool fresh = false;
         for (int attempt = 0; attempt < 64 && !fresh; ++attempt) {
-          mutant = mutate_spec(survivor, rng);
-          fresh = !seen_ids.contains(mutant.id());
+          mutant = mutate_spec(survivor, rng_);
+          fresh = !seen_ids_.contains(mutant.id());
         }
         PSLLC_ASSERT(fresh, "mutation failed to find a fresh spec for "
                                 << survivor.id());
-        push_cell(mutant, round);
+        plan(mutant);
       }
     }
+    // With fewer cells than survivors the track would fall short of the
+    // fixed cells_per_track row budget; the manifest floor (>= 1 spec per
+    // kind) and take = min(...) above make that impossible.
+    PSLLC_ASSERT(round_ < options_.rounds || planned_ == track_.cells.size(),
+                 "track " << key_ << " produced " << planned_
+                          << " cells, expected " << track_.cells.size());
   }
-  // With fewer cells than survivors the track would fall short of the
-  // fixed cells_per_track row budget; the manifest floor (>= 1 spec per
-  // kind) and take = min(...) above make that impossible.
-  PSLLC_ASSERT(static_cast<int>(track.cells.size()) ==
-                   options.cells_per_track(),
-               "track " << track_key(kind, config) << " produced "
-                        << track.cells.size() << " cells, expected "
-                        << options.cells_per_track());
 
-  for (const AdversaryCell& cell : track.cells) {
-    if (cell.metrics.completed) {
-      track.min_slack = std::min(track.min_slack, cell.slack);
-    }
-    track.near_misses += cell.near_miss ? 1 : 0;
-    track.violations += cell.violation ? 1 : 0;
-  }
-  return track;
-}
+  AdversaryTrack& track_;
+  const AdversaryOptions& options_;
+  const std::string key_;
+  Rng rng_;
+  std::unordered_set<std::string> seen_ids_;  // membership tests only
+  int round_ = 0;
+  std::size_t planned_ = 0;      ///< cell slots claimed so far
+  std::atomic<std::size_t> pending_{0};  ///< unfinished cells of the round
+};
 
 }  // namespace
 
@@ -641,34 +667,27 @@ AdversaryResult run_adversary_search(const AdversaryOptions& options,
 
   AdversaryResult result;
   result.tracks.resize(num_tracks);
-  std::vector<BatchJob> jobs;
-  for (std::size_t k = 0; k < options.kinds.size(); ++k) {
-    for (std::size_t c = 0; c < options.configs.size(); ++c) {
-      const std::size_t ordinal = k * options.configs.size() + c;
-      const AttackKind kind = options.kinds[k];
-      const SweepConfig& config = options.configs[c];
-      AdversaryTrack& slot = result.tracks[ordinal];
-      slot.kind = kind;
-      slot.config = config;
-      if (track_mask != nullptr && !(*track_mask)[ordinal]) {
-        continue;
-      }
-      jobs.push_back(BatchJob{
-          track_key(kind, config), /*threads_wanted=*/1,
-          [&slot, kind, config, &options](int /*threads_granted*/) {
-            slot = run_track(kind, config, options);
-          }});
+  std::deque<TrackSearch> searches;  // one per track that runs
+  for (std::size_t ordinal = 0; ordinal < num_tracks; ++ordinal) {
+    AdversaryTrack& track = result.tracks[ordinal];
+    track.kind = options.kinds[ordinal / options.configs.size()];
+    track.config = options.configs[ordinal % options.configs.size()];
+    if (track_mask == nullptr || (*track_mask)[ordinal]) {
+      searches.emplace_back(track, options);
     }
   }
+  TaskPool pool(resolve_thread_budget(options.threads));
+  pool.run(searches.size(),
+           [&](std::size_t root) { searches[root].queue_round(pool, 0); });
 
-  BatchOptions batch;
-  batch.threads = options.threads;
-  batch.max_concurrent_jobs = resolve_thread_budget(options.threads);
-  const BatchReport report = run_batch(std::move(jobs), batch);
-  PSLLC_CONFIG_CHECK(report.all_ok(),
-                     "adversary search failed:\n" << report.error_summary());
-
-  for (const AdversaryTrack& track : result.tracks) {
+  for (AdversaryTrack& track : result.tracks) {
+    for (const AdversaryCell& cell : track.cells) {
+      if (cell.metrics.completed) {
+        track.min_slack = std::min(track.min_slack, cell.slack);
+      }
+      track.near_misses += cell.near_miss ? 1 : 0;
+      track.violations += cell.violation ? 1 : 0;
+    }
     result.violations += track.violations;
     result.near_misses += track.near_misses;
   }

@@ -28,9 +28,10 @@
 // A track evaluates the kind's seed manifest through sim::replay(), scores
 // each cell by bound slack (analytical - observed) / analytical, then
 // hill-climbs: each round mutates the lowest-slack survivors into fresh
-// specs and re-evaluates. Tracks are independent and internally serial, so
-// the result is bit-identical across thread counts and shardable at track
-// granularity (a track mask, like the corpus cell mask). Cells whose slack
+// specs and re-evaluates. Cells run in parallel but each track's mutations
+// are drawn serially, round after round, so the result is bit-identical
+// across thread counts and shardable at track granularity (a track mask,
+// like the corpus cell mask). Cells whose slack
 // drops below a threshold are *near misses*; promote_cell writes their
 // core-0 trace as a .pslt file so they can be committed as regression
 // traces and replayed by the corpus_runner golden gates.
@@ -177,8 +178,8 @@ struct AdversaryOptions {
   /// Cells at or below this slack are near misses (promotion candidates).
   double near_miss_slack = 0.2;
   Cycle max_cycles = 50'000'000;
-  /// Worker budget across tracks (tracks are internally serial);
-  /// 0 = hardware concurrency. Results are thread-count independent.
+  /// Worker budget across every track's cells; 0 = hardware concurrency.
+  /// Results are thread-count independent.
   int threads = 0;
 
   [[nodiscard]] int cells_per_track() const {
@@ -234,10 +235,10 @@ struct AdversaryResult {
 /// Runs the search grid. `track_mask`, when given, must hold
 /// kinds.size() * configs.size() flags in track order; tracks with a false
 /// flag are skipped (ran == false) — the execution half of track-level
-/// sharding. Each track is one serial batch job seeded from
-/// mix_seed(options.seed, fnv1a64(track_key)), so results are bit-identical
-/// across thread counts and shard layouts. Throws ConfigError on invalid
-/// options or when a cell fails.
+/// sharding. All cells run on one sim::TaskPool; each track draws its
+/// mutations serially from mix_seed(options.seed, fnv1a64(track_key)), so
+/// results are bit-identical across thread counts and shard layouts.
+/// Throws ConfigError on invalid options or when a cell fails.
 [[nodiscard]] AdversaryResult run_adversary_search(
     const AdversaryOptions& options,
     const std::vector<bool>* track_mask = nullptr);

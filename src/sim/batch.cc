@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "common/assert.h"
+#include "sim/task_pool.h"
 
 namespace psllc::sim {
 
@@ -32,13 +31,6 @@ std::string BatchReport::error_summary() const {
     }
   }
   return oss.str();
-}
-
-int resolve_thread_budget(int threads) {
-  return threads > 0
-             ? threads
-             : std::max(1,
-                        static_cast<int>(std::thread::hardware_concurrency()));
 }
 
 namespace {
@@ -70,21 +62,23 @@ BatchReport run_batch(std::vector<BatchJob> jobs,
   }
 
   const int total_budget = resolve_thread_budget(options.threads);
+  const int total = static_cast<int>(jobs.size());
 
   BatchReport report;
   report.jobs.resize(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     report.jobs[i].name = jobs[i].name;
   }
+  const int workers = std::max(
+      1, std::min({options.max_concurrent_jobs, total_budget, total}));
 
+  // Thread grants and progress lines; the pool does the scheduling.
   std::mutex mutex;
-  std::condition_variable slots_freed;
   int available_threads = total_budget;
   int running_jobs = 0;
+  int unstarted_jobs = total;  // neither granted nor skipped yet
   int finished_jobs = 0;
   bool any_failed = false;
-  const int total = static_cast<int>(jobs.size());
-
   // Emitted under `mutex` so lines never interleave.
   const auto progress = [&](const std::string& line) {
     if (options.progress) {
@@ -92,23 +86,15 @@ BatchReport run_batch(std::vector<BatchJob> jobs,
     }
   };
 
-  std::vector<std::thread> workers;
-  workers.reserve(jobs.size());
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  TaskPool pool(workers);
+  pool.run(jobs.size(), [&](std::size_t i) {
     int granted = 0;
     {
-      std::unique_lock<std::mutex> lock(mutex);
-      slots_freed.wait(lock, [&] {
-        return (running_jobs < options.max_concurrent_jobs &&
-                available_threads >= 1) ||
-               (options.fail_fast && any_failed);
-      });
+      const std::lock_guard<std::mutex> lock(mutex);
+      const int queued = unstarted_jobs--;
       if (options.fail_fast && any_failed) {
-        report.jobs[i].state = JobState::kSkipped;
-        progress("[batch] skip " + jobs[i].name +
-                 " (earlier job failed)");
-        continue;
+        progress("[batch] skip " + jobs[i].name + " (earlier job failed)");
+        return;
       }
       if (jobs[i].threads_wanted > 0) {
         granted = std::min(jobs[i].threads_wanted, available_threads);
@@ -118,11 +104,14 @@ BatchReport run_batch(std::vector<BatchJob> jobs,
         // actually overlaps. With one slot (the default) this is the whole
         // remaining budget.
         const int slots_open = options.max_concurrent_jobs - running_jobs;
-        const int queued = static_cast<int>(jobs.size() - i);
         granted =
             available_threads / std::max(1, std::min(slots_open, queued));
       }
-      granted = std::max(granted, 1);
+      // Keep one thread for every other worker that may still start a job,
+      // so no worker waits for budget. Fair shares never reach this cap.
+      const int may_start =
+          std::min(workers - 1 - running_jobs, queued - 1);
+      granted = std::max(std::min(granted, available_threads - may_start), 1);
       available_threads -= granted;
       ++running_jobs;
       report.jobs[i].threads = granted;
@@ -131,50 +120,38 @@ BatchReport run_batch(std::vector<BatchJob> jobs,
            << ", " << finished_jobs << "/" << total << " done)";
       progress(line.str());
     }
-    workers.emplace_back([&, i, granted] {
-      const auto start = std::chrono::steady_clock::now();
-      JobState state = JobState::kOk;
-      std::string error;
-      try {
-        jobs[i].run(granted);
-      } catch (const std::exception& e) {
-        state = JobState::kFailed;
-        error = e.what();
-      } catch (...) {
-        state = JobState::kFailed;
-        error = "unknown exception";
-      }
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        report.jobs[i].state = state;
-        report.jobs[i].error = error;
-        report.jobs[i].seconds = seconds;
-        available_threads += granted;
-        --running_jobs;
-        ++finished_jobs;
-        any_failed = any_failed || state == JobState::kFailed;
-        std::ostringstream line;
-        if (state == JobState::kOk) {
-          line << "[batch] done " << jobs[i].name << " in "
-               << format_seconds(seconds) << " (" << finished_jobs << "/"
-               << total << " done)";
-        } else {
-          line << "[batch] FAIL " << jobs[i].name << " after "
-               << format_seconds(seconds) << ": " << error;
-        }
-        progress(line.str());
-      }
-      slots_freed.notify_all();
-    });
-  }
-
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
+    // Only this task touches its outcome until the pool has finished.
+    JobOutcome& outcome = report.jobs[i];
+    const auto start = std::chrono::steady_clock::now();
+    outcome.state = JobState::kOk;
+    try {
+      jobs[i].run(granted);
+    } catch (const std::exception& e) {
+      outcome.state = JobState::kFailed;
+      outcome.error = e.what();
+    } catch (...) {
+      outcome.state = JobState::kFailed;
+      outcome.error = "unknown exception";
+    }
+    outcome.seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    const std::lock_guard<std::mutex> lock(mutex);
+    available_threads += granted;
+    --running_jobs;
+    ++finished_jobs;
+    any_failed = any_failed || outcome.state == JobState::kFailed;
+    std::ostringstream line;
+    if (outcome.state == JobState::kOk) {
+      line << "[batch] done " << jobs[i].name << " in "
+           << format_seconds(outcome.seconds) << " (" << finished_jobs << "/"
+           << total << " done)";
+    } else {
+      line << "[batch] FAIL " << jobs[i].name << " after "
+           << format_seconds(outcome.seconds) << ": " << outcome.error;
+    }
+    progress(line.str());
+  });
   return report;
 }
 

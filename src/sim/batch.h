@@ -1,10 +1,9 @@
-// Batched multi-sweep scheduler: runs many independent jobs (figure
-// panels, ablations) behind ONE shared worker-thread budget. Each job
-// receives the number of threads the scheduler granted it and forwards
-// that into SweepOptions::threads, so the whole batch never oversubscribes
-// the machine while every sweep still uses the existing intra-sweep worker
-// pool. Results are bit-identical to running each job alone because
-// run_sweep output is independent of its thread count.
+// Batched job runner: many independent jobs (figure panels, ablations) as
+// the roots of one sim::TaskPool of min(max_concurrent_jobs, budget, jobs)
+// workers, behind ONE shared worker-thread budget. Each job forwards the
+// threads it was granted into SweepOptions::threads, so the batch never
+// oversubscribes the machine. Results are bit-identical to running each
+// job alone because run_sweep output is independent of its thread count.
 #ifndef PSLLC_SIM_BATCH_H_
 #define PSLLC_SIM_BATCH_H_
 
@@ -19,7 +18,8 @@ struct BatchJob {
   /// Threads this job can usefully consume; 0 = a fair share of the
   /// budget (the whole remaining budget when max_concurrent_jobs is 1,
   /// budget/slots while other jobs are queued otherwise). The grant is
-  /// clamped to the remaining budget and is always >= 1.
+  /// clamped to the remaining budget less one per other worker that may
+  /// still start a job (no worker waits for budget), and is always >= 1.
   int threads_wanted = 0;
   /// The work. Throws to signal failure; the exception message is captured
   /// in the job's outcome.
@@ -42,7 +42,7 @@ struct JobOutcome {
 
 struct BatchOptions {
   /// Total worker-thread budget shared by all concurrently running jobs.
-  /// 0 = std::thread::hardware_concurrency().
+  /// 0 = resolve_thread_budget's hardware concurrency.
   int threads = 0;
   /// Jobs running at once. 1 (default) keeps stdout ordered per job and
   /// hands each job the full budget; raising it trades ordering for
@@ -64,12 +64,6 @@ struct BatchReport {
   /// Aggregated error text: one line per failed job (empty when all_ok).
   [[nodiscard]] std::string error_summary() const;
 };
-
-/// The worker-thread budget `threads` resolves to: itself when positive,
-/// else hardware concurrency (min 1). The single definition of the policy
-/// run_batch applies to BatchOptions::threads; callers sizing their own
-/// job counts against the budget must use it too.
-[[nodiscard]] int resolve_thread_budget(int threads);
 
 /// Runs `jobs` under the shared budget. Never throws on job failure —
 /// inspect the report; throws ConfigError on invalid options.

@@ -1,21 +1,18 @@
 #include "sim/corpus.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
+#include <memory>
 #include <set>
 #include <stdexcept>
-#include <thread>
-#include <tuple>
 #include <unordered_set>
 #include <utility>
 
 #include "common/assert.h"
 #include "common/string_util.h"
-#include "sim/batch.h"
 #include "sim/replay.h"
+#include "sim/task_pool.h"
 #include "sim/trace_io.h"
 #include "sim/workload.h"
 #include "trace/binary_io.h"
@@ -53,15 +50,14 @@ Addr mirror_window(const std::string& name, const core::Trace& trace) {
   return std::max<Addr>(std::bit_ceil(max_addr + 64), 4096);
 }
 
-/// One corpus cell via the shared replay entry point. The entry's trace is
-/// handed to sim::replay() as a shared workload — solo replay runs it on
-/// core 0 alone; mirrored replay runs one replica per active core, shifted
-/// by `window` — so no per-core trace copies are materialized.
-CorpusCell run_corpus_cell(const std::string& name,
-                           const SweepConfig& config,
-                           const SweepOptions& options,
-                           const core::Trace& trace, CorpusReplay replay,
-                           Addr window) {
+/// One corpus cell's metrics via the shared replay entry point. The entry's
+/// trace is handed to sim::replay() as a shared workload — solo replay runs
+/// it on core 0 alone; mirrored replay runs one replica per active core,
+/// shifted by `window` — so no per-core trace copies are materialized.
+RunMetrics replay_corpus_cell(const SweepConfig& config,
+                              const SweepOptions& options,
+                              const core::Trace& trace, CorpusReplay replay,
+                              Addr window) {
   core::ExperimentSetup setup =
       core::make_paper_setup(config.notation, config.active_cores);
   setup.config.dram = options.dram;
@@ -73,12 +69,7 @@ CorpusCell run_corpus_cell(const std::string& name,
       replay == CorpusReplay::kSolo ? 1 : config.active_cores;
   request.workload.window = replay == CorpusReplay::kSolo ? 0 : window;
   request.options.max_cycles = options.max_cycles;
-  CorpusCell cell;
-  cell.trace_name = name;
-  cell.config = config;
-  cell.metrics = sim::replay(request).metrics;
-  cell.ran = true;
-  return cell;
+  return sim::replay(request).metrics;
 }
 
 }  // namespace
@@ -130,146 +121,75 @@ CorpusResult run_corpus(const std::vector<CorpusSource>& sources,
   result.entry_stats.resize(num_entries);
   result.entry_ran.assign(num_entries, false);
 
-  // Cell-granular work on a fixed pool. A worker with nothing queued loads
-  // the next entry once, queues that entry's other owned cells and runs
-  // the heaviest itself; idle workers drain the queue before loading
-  // another entry. When a worker starts a load the queue is empty, so
-  // every resident entry has a cell running or a load in flight: at most
-  // `workers` entries are ever resident. Every cell writes only its own
-  // pre-sized slot, so results stay bit-identical for any thread count
-  // and scheduling order.
-  struct EntryWork {
-    std::vector<std::size_t> configs;  ///< owned, more active cores first
-    core::Trace trace;                 ///< resident while cells remain
-    std::size_t remaining = 0;         ///< cells not yet finished
-    std::once_flag window_once;
-    Addr window = 0;
-  };
-  std::vector<EntryWork> work(num_entries);
+  // Cell-granular work on one task pool: one root per entry loads it once,
+  // queues that entry's other owned cells and runs the heaviest itself;
+  // idle workers take queued cells before the pool hands out another root.
+  // A root starts only when no cell is queued, so every resident entry has
+  // a task running: at most `workers` entries are ever resident. Every cell
+  // writes only its own pre-sized slot, so results stay bit-identical for
+  // any thread count and scheduling order. owned[e] lists entry e's owned
+  // configs, more active cores first.
+  std::vector<std::vector<std::size_t>> owned(num_entries);
   std::vector<std::size_t> to_load;
-  std::size_t owned_cells = 0;
   for (std::size_t e = 0; e < num_entries; ++e) {
     for (std::size_t c = 0; c < num_configs; ++c) {
       if (cell_owned(e, c)) {
-        work[e].configs.push_back(c);
+        owned[e].push_back(c);
       }
     }
-    std::stable_sort(work[e].configs.begin(), work[e].configs.end(),
+    std::stable_sort(owned[e].begin(), owned[e].end(),
                      [&](std::size_t a, std::size_t b) {
                        return configs[a].active_cores >
                               configs[b].active_cores;
                      });
-    if (!work[e].configs.empty()) {
+    if (!owned[e].empty()) {
       result.entry_ran[e] = true;
       to_load.push_back(e);
-      owned_cells += work[e].configs.size();
     }
   }
   PSLLC_CONFIG_CHECK(!to_load.empty(),
                      "corpus cell mask excludes every cell of the grid");
 
-  std::mutex mutex;
-  std::condition_variable work_ready;
-  std::deque<std::pair<std::size_t, std::size_t>> queue;  // (entry, config)
-  std::size_t next_load = 0;
-  int loads_in_flight = 0;  // their cells are not queued yet
-  int resident = 0;
-  int peak_resident = 0;
-  bool failed = false;
-  std::string failure;
-
-  const auto fail = [&](std::size_t e, const std::string& what) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    if (!failed) {
-      failed = true;
-      failure = sources[e].name + ": " + what;
-    }
-    work_ready.notify_all();
-  };
-  const auto worker = [&] {
-    for (;;) {
-      std::size_t e = 0;
-      std::size_t c = 0;
-      bool load = false;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        work_ready.wait(lock, [&] {
-          return failed || !queue.empty() || next_load < to_load.size() ||
-                 loads_in_flight == 0;
-        });
-        if (failed) {
-          return;
-        }
-        if (!queue.empty()) {
-          std::tie(e, c) = queue.front();
-          queue.pop_front();
-        } else if (next_load < to_load.size()) {
-          e = to_load[next_load++];
-          load = true;
-          ++loads_in_flight;
-          // Counted from before the load starts: a trace being
-          // materialized is already resident memory, which is exactly
-          // what the peak metric exists to bound.
-          peak_resident = std::max(peak_resident, ++resident);
-        } else {
-          return;
-        }
+  std::atomic<int> resident{0};
+  std::atomic<int> peak_resident{0};
+  TaskPool pool(resolve_thread_budget(options.threads));
+  pool.run(to_load.size(), [&](std::size_t root) {
+    const std::size_t e = to_load[root];
+    const std::string& name = sources[e].name;
+    run_named("corpus run failed:", name, [&] {
+      // Resident from before the load starts (a trace being materialized is
+      // already resident memory, which is exactly what the peak metric
+      // exists to bound) until the last cell holding it lets go.
+      const int now = ++resident;
+      for (int peak = peak_resident;
+           now > peak && !peak_resident.compare_exchange_weak(peak, now);) {
       }
-      EntryWork& entry = work[e];
-      try {
-        if (load) {
-          entry.trace = sources[e].load();
-          {
-            const std::lock_guard<std::mutex> lock(mutex);
-            entry.remaining = entry.configs.size();
-            for (std::size_t i = 1; i < entry.configs.size(); ++i) {
-              queue.emplace_back(e, entry.configs[i]);
-            }
-            --loads_in_flight;
-          }
-          work_ready.notify_all();
-          result.entry_stats[e] = compute_trace_stats(entry.trace);
-          c = entry.configs.front();
-        }
-        Addr window = 0;
-        if (replay == CorpusReplay::kMirrored && configs[c].active_cores > 1) {
-          std::call_once(entry.window_once, [&] {
-            entry.window = mirror_window(sources[e].name, entry.trace);
+      const std::shared_ptr<const core::Trace> trace(
+          new core::Trace(sources[e].load()),
+          [&resident](const core::Trace* loaded) {
+            delete loaded;
+            --resident;
           });
-          window = entry.window;
-        }
-        result.cells[e * num_configs + c] = run_corpus_cell(
-            sources[e].name, configs[c], options, entry.trace, replay, window);
-      } catch (const std::exception& ex) {
-        fail(e, ex.what());
-        return;
-      } catch (...) {
-        fail(e, "unknown exception");
-        return;
+      const Addr window = replay == CorpusReplay::kMirrored &&
+                                  configs[owned[e].front()].active_cores > 1
+                              ? mirror_window(name, *trace)
+                              : 0;
+      // Cells are pre-labelled; each fills in only its own slot's run.
+      const auto run_cell = [&, e, trace, window](std::size_t c) {
+        CorpusCell& cell = result.cells[e * num_configs + c];
+        cell.metrics =
+            replay_corpus_cell(configs[c], options, *trace, replay, window);
+        cell.ran = true;
+      };
+      for (std::size_t i = 1; i < owned[e].size(); ++i) {
+        pool.enqueue([&name, run_cell, c = owned[e][i]] {
+          run_named("corpus run failed:", name, [&] { run_cell(c); });
+        });
       }
-      core::Trace finished;
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        if (--entry.remaining == 0) {
-          finished.swap(entry.trace);
-          --resident;
-        }
-      }
-    }
-  };
-
-  {
-    const auto workers = std::min<std::size_t>(
-        static_cast<std::size_t>(resolve_thread_budget(options.threads)),
-        owned_cells);
-    std::vector<std::jthread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t i = 1; i < workers; ++i) {
-      pool.emplace_back(worker);
-    }
-    worker();
-  }
-  PSLLC_CONFIG_CHECK(!failed, "corpus run failed:\n" << failure);
+      result.entry_stats[e] = compute_trace_stats(*trace);
+      run_cell(owned[e].front());
+    });
+  });
   result.peak_entries_resident = peak_resident;
   return result;
 }

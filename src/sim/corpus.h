@@ -1,17 +1,15 @@
 // Trace-corpus runner: replays a set of recorded traces (a directory of
 // .trace/.pslt files or the built-in demo corpus) across a grid of
-// partition configurations, scheduling the (trace x config) cells on a
-// fixed worker pool. This is the recorded-workload counterpart of run_sweep,
-// which generates its workloads internally; both take their execution
-// knobs (dram backend, horizon, thread budget) from SweepOptions so
-// benches configure one options struct for either path.
+// partition configurations, as the cells of one sim::TaskPool. This is
+// the recorded-workload counterpart of run_sweep, which generates its
+// workloads internally; both take their execution knobs (dram backend,
+// horizon, thread budget) from SweepOptions.
 //
-// Corpora are streamed per entry: run_corpus takes lazy CorpusSources and
-// loads each entry once, when a worker runs out of queued cells, so at
-// most `workers` entries are resident at once (reported as
-// CorpusResult::peak_entries_resident) instead of the whole corpus. An
-// optional cell mask restricts execution to a subset of the grid — the
-// execution half of the cross-process work-unit protocol (sim/shard.h).
+// Corpora are streamed per entry: each entry's load is a pool root, run
+// only when no cell is queued, so at most `workers` entries are resident
+// at once (CorpusResult::peak_entries_resident). An optional cell mask
+// restricts execution to a subset of the grid — the execution half of the
+// cross-process work-unit protocol (sim/shard.h).
 #ifndef PSLLC_SIM_CORPUS_H_
 #define PSLLC_SIM_CORPUS_H_
 
@@ -100,13 +98,10 @@ struct CorpusResult {
 
 /// Runs every source against every configuration. Uses, from `options`:
 /// `dram` (memory backend per cell), `max_cycles` (horizon) and `threads`
-/// (resolve_thread_budget: the worker count, the calling thread being one
-/// of them). Work is cell-granular: a worker with no queued cell loads the
-/// next entry once, queues that entry's other owned cells (more active
-/// cores first) and runs the first itself; idle workers take queued cells
-/// before loading another entry. So even a one-trace corpus runs its cells
-/// in parallel, at most `workers` entries are ever resident, and each
-/// entry's trace is freed when its last cell finishes.
+/// (resolve_thread_budget: the pool's worker count). One pool root per
+/// entry loads it once, queues its other owned cells (more active cores
+/// first) and runs the first itself, so even a one-trace corpus runs its
+/// cells in parallel; the entry's last cell frees its trace.
 /// `cell_mask`, when given, must have entries.size() * configs.size()
 /// flags in cell order (e * configs.size() + c); cells with a false flag
 /// are not executed (CorpusCell::ran == false) and entries with no owned

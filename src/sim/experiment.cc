@@ -1,15 +1,12 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <map>
-#include <mutex>
-#include <thread>
+#include <memory>
 
 #include "common/assert.h"
 #include "core/wcl_analysis.h"
 #include "sim/replay.h"
+#include "sim/task_pool.h"
 
 namespace psllc::sim {
 
@@ -47,17 +44,6 @@ SweepCell run_cell(const SweepConfig& config, std::int64_t range,
   return cell;
 }
 
-// The traces of one address range, one set per active-core count. Trace
-// identity is (seed, core, range) only — identical addresses for every
-// configuration, as the paper requires — so each set is generated by the
-// range's first cell that needs it and lent to every configuration of the
-// range; the range's last cell frees them all.
-struct RangeTraces {
-  std::mutex mutex;
-  std::map<int, std::vector<core::Trace>> by_cores;  // nodes never move
-  std::size_t cells_left = 0;
-};
-
 }  // namespace
 
 SweepResult run_sweep(const std::vector<SweepConfig>& configs,
@@ -70,95 +56,45 @@ SweepResult run_sweep(const std::vector<SweepConfig>& configs,
   SweepResult result;
   result.configs = configs;
   result.ranges = options.address_ranges;
+  result.cells.resize(configs.size() * options.address_ranges.size());
 
-  const std::size_t total = configs.size() * options.address_ranges.size();
-  result.cells.resize(total);
-
-  std::vector<RangeTraces> range_traces(options.address_ranges.size());
-  for (RangeTraces& traces : range_traces) {
-    traces.cells_left = configs.size();
+  // Trace identity is (seed, core, range) only — identical addresses for
+  // every configuration, as the paper requires — so one pool root per
+  // (range, active-core count) generates that trace set and queues the
+  // cells that borrow it; the last of them frees it.
+  std::vector<int> core_counts;
+  for (const SweepConfig& config : configs) {
+    if (std::find(core_counts.begin(), core_counts.end(),
+                  config.active_cores) == core_counts.end()) {
+      core_counts.push_back(config.active_cores);
+    }
   }
-
-  // Cell index in row-major (range, config) order, matching
-  // SweepResult::cell — each worker writes only its own slot, so the result
-  // layout (and every byte of the rendered tables) is independent of thread
-  // count and completion order.
-  const auto compute = [&](std::size_t index) {
-    const std::size_t r = index / configs.size();
-    const std::size_t c = index % configs.size();
+  TaskPool pool(resolve_thread_budget(options.threads));
+  pool.run(options.address_ranges.size() * core_counts.size(),
+           [&](std::size_t root) {
+    const std::size_t r = root / core_counts.size();
+    const int cores = core_counts[root % core_counts.size()];
     const std::int64_t range = options.address_ranges[r];
-    RangeTraces& lent = range_traces[r];
-    const std::vector<core::Trace>* traces = nullptr;
-    {
-      const std::lock_guard<std::mutex> lock(lent.mutex);
-      const int cores = configs[c].active_cores;
-      auto it = lent.by_cores.find(cores);
-      if (it == lent.by_cores.end()) {
-        RandomWorkloadOptions workload;
-        workload.range_bytes = range;
-        workload.accesses = options.accesses_per_core;
-        workload.write_fraction = options.write_fraction;
-        it = lent.by_cores
-                 .emplace(cores, make_disjoint_random_workload(
-                                     cores, workload, options.seed))
-                 .first;
+    RandomWorkloadOptions workload;
+    workload.range_bytes = range;
+    workload.accesses = options.accesses_per_core;
+    workload.write_fraction = options.write_fraction;
+    const auto traces = std::make_shared<const std::vector<core::Trace>>(
+        make_disjoint_random_workload(cores, workload, options.seed));
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      if (configs[c].active_cores != cores) {
+        continue;
       }
-      traces = &it->second;
+      // Cell index in row-major (range, config) order, matching
+      // SweepResult::cell — each cell writes only its own slot, so the
+      // result layout (and every byte of the rendered tables) is
+      // independent of thread count and completion order.
+      pool.enqueue([&, r, c, range, traces] {
+        result.cells[r * configs.size() + c] =
+            run_cell(configs[c], range, *traces, options);
+      });
     }
-    result.cells[index] = run_cell(configs[c], range, *traces, options);
-    const std::lock_guard<std::mutex> lock(lent.mutex);
-    if (--lent.cells_left == 0) {
-      lent.by_cores.clear();
-    }
-  };
-
-  std::size_t worker_count =
-      options.threads > 0
-          ? static_cast<std::size_t>(options.threads)
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  worker_count = std::min(worker_count, total);
-
-  if (worker_count <= 1) {
-    for (std::size_t index = 0; index < total; ++index) {
-      compute(index);
-    }
-    return result;
-  }
-
-  std::atomic<std::size_t> next{0};
-  // On error the sweep fails fast: unclaimed cells are skipped. Among the
-  // cells that did throw, the lowest index wins, so the serial path and the
-  // pool agree whenever only one cell is faulty.
-  std::atomic<bool> failed{false};
-  std::mutex error_mutex;
-  std::size_t error_index = total;
-  std::exception_ptr error;
-  std::vector<std::thread> workers;
-  workers.reserve(worker_count);
-  for (std::size_t w = 0; w < worker_count; ++w) {
-    workers.emplace_back([&] {
-      for (std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-           index < total && !failed.load(std::memory_order_relaxed);
-           index = next.fetch_add(1, std::memory_order_relaxed)) {
-        try {
-          compute(index);
-        } catch (...) {
-          failed.store(true, std::memory_order_relaxed);
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (index < error_index) {
-            error_index = index;
-            error = std::current_exception();
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  if (error) {
-    std::rethrow_exception(error);
-  }
+  });
   return result;
 }
 

@@ -36,10 +36,9 @@ struct SweepOptions {
   /// fixed-latency model). The trace grid is backend-independent, so sweeps
   /// over `dram.backend` replay identical addresses per cell.
   mem::DramConfig dram;
-  /// Worker threads for the sweep grid. Each cell builds its own
-  /// core::System, so cells are embarrassingly parallel; results are
-  /// bit-identical to the serial path regardless of thread count.
-  /// 0 = std::thread::hardware_concurrency(), 1 = serial.
+  /// Workers of the sweep's task pool (resolve_thread_budget: 0 = hardware
+  /// concurrency, 1 = serial on the calling thread). Each cell builds its
+  /// own system, so results are bit-identical at any thread count.
   int threads = 0;
 };
 

@@ -13,7 +13,10 @@ namespace psllc::sim {
 
 namespace {
 
-void validate_request(const ReplayRequest& request) {
+/// Checks `request` and returns core 0's steady and transient bounds (the
+/// rest of the metrics empty): computed before the run, so a cell whose
+/// bound is refused (ConfigError) throws without replaying anything.
+[[nodiscard]] RunMetrics checked_bounds(const ReplayRequest& request) {
   PSLLC_ASSERT(request.setup != nullptr, "replay request needs a setup");
   const int num_cores = request.setup->config.num_cores;
   const ReplayWorkload& w = request.workload;
@@ -39,6 +42,12 @@ void validate_request(const ReplayRequest& request) {
                              << std::dec << w.replicas << " replicas");
     }
   }
+  RunMetrics metrics;
+  metrics.analytical_wcl =
+      core::analytical_wcl_cycles(*request.setup, CoreId{0});
+  metrics.transient_analytical_wcl =
+      core::transient_wcl_cycles(*request.setup, CoreId{0});
+  return metrics;
 }
 
 /// Binds the lanes of `body` to `workload` (borrowed): one trace per core,
@@ -60,18 +69,14 @@ void bind_workload(core::SlotBody<Backend>& body,
   }
 }
 
-/// The metrics of a replay of `setup` on `body` that ended with `result`
-/// (`all_done` means every lane drained within the horizon).
+/// `metrics` (checked_bounds') completed for a replay on `body` that ended
+/// with `result` (`all_done` means every lane drained within the horizon).
 template <typename Backend>
-[[nodiscard]] RunMetrics fill_metrics(const core::SlotBody<Backend>& body,
-                                      const core::ExperimentSetup& setup,
+[[nodiscard]] RunMetrics fill_metrics(RunMetrics metrics,
+                                      const core::SlotBody<Backend>& body,
                                       const core::RunResult& result) {
-  RunMetrics metrics;
   metrics.completed = result.all_done;
   metrics.end_cycle = result.end_cycle;
-  metrics.analytical_wcl = core::analytical_wcl_cycles(setup, CoreId{0});
-  metrics.transient_analytical_wcl =
-      core::transient_wcl_cycles(setup, CoreId{0});
   metrics.observed_transient_wcl = body.observed_transient_wcl();
   const core::RequestTracker& tracker = body.tracker();
   metrics.llc_requests = tracker.completed_requests();
@@ -98,24 +103,24 @@ template <typename Backend>
 }
 
 template <typename Backend>
-RunMetrics replay_on(const ReplayRequest& request) {
+RunMetrics replay_on(const ReplayRequest& request, const RunMetrics& bounds) {
   core::BasicSystem<Backend> system(*request.setup);
   bind_workload(system.body(), request.workload);
   const core::RunResult result = system.run(request.options.max_cycles);
-  return fill_metrics(system.body(), *request.setup, result);
+  return fill_metrics(bounds, system.body(), result);
 }
 
 }  // namespace
 
 ReplayResult replay(const ReplayRequest& request) {
-  validate_request(request);
+  const RunMetrics bounds = checked_bounds(request);
   switch (request.setup->config.dram.backend) {
     case mem::MemoryBackendKind::kFixedLatency:
-      return {replay_on<mem::FixedLatencyBackend>(request)};
+      return {replay_on<mem::FixedLatencyBackend>(request, bounds)};
     case mem::MemoryBackendKind::kBankRow:
-      return {replay_on<mem::BankRowBackend>(request)};
+      return {replay_on<mem::BankRowBackend>(request, bounds)};
     case mem::MemoryBackendKind::kWriteQueue:
-      return {replay_on<mem::WriteQueueBackend>(request)};
+      return {replay_on<mem::WriteQueueBackend>(request, bounds)};
   }
   PSLLC_ASSERT(false, "unknown memory backend kind "
                           << static_cast<int>(request.setup->config.dram.backend));
@@ -123,14 +128,14 @@ ReplayResult replay(const ReplayRequest& request) {
 }
 
 ReplayResult replay_every_slot(const ReplayRequest& request) {
-  validate_request(request);
+  const RunMetrics bounds = checked_bounds(request);
   core::System system(*request.setup);
   bind_workload(system.body(), request.workload);
   const Cycle W = request.setup->config.slot_width;
   const Cycle max_cycles = request.options.max_cycles;
   const core::RunResult result =
       system.run_slots(max_cycles > 0 ? (max_cycles + W - 1) / W : 0);
-  return {fill_metrics(system.body(), *request.setup, result)};
+  return {fill_metrics(bounds, system.body(), result)};
 }
 
 }  // namespace psllc::sim

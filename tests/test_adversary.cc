@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -259,17 +260,29 @@ TEST(AdversarySearch, HoldsBoundAndFillsEveryTrack) {
 }
 
 TEST(AdversarySearch, BitIdenticalAcrossThreadCounts) {
-  AdversaryOptions serial = small_options();
-  serial.threads = 1;
-  AdversaryOptions parallel = small_options();
-  parallel.threads = 4;
-  const AdversaryResult a = run_adversary_search(serial);
-  const AdversaryResult b = run_adversary_search(parallel);
-  ASSERT_EQ(a.tracks.size(), b.tracks.size());
-  EXPECT_EQ(a.violations, b.violations);
-  EXPECT_EQ(a.near_misses, b.near_misses);
-  for (std::size_t t = 0; t < a.tracks.size(); ++t) {
-    expect_cells_identical(a.tracks[t], b.tracks[t]);
+  // (rounds, threads) pairs checked against the serial run of the same
+  // rounds; three rounds (the perfbench shape) chain each round's mutation
+  // onto the last cell of the round before.
+  const std::vector<std::pair<int, std::vector<int>>> inputs = {
+      {1, {4}}, {3, {2, 3}}};
+  for (const auto& [rounds, thread_counts] : inputs) {
+    AdversaryOptions serial = small_options();
+    serial.rounds = rounds;
+    serial.threads = 1;
+    const AdversaryResult a = run_adversary_search(serial);
+    for (const int threads : thread_counts) {
+      SCOPED_TRACE("rounds " + std::to_string(rounds) + ", threads " +
+                   std::to_string(threads));
+      AdversaryOptions parallel = serial;
+      parallel.threads = threads;
+      const AdversaryResult b = run_adversary_search(parallel);
+      ASSERT_EQ(a.tracks.size(), b.tracks.size());
+      EXPECT_EQ(a.violations, b.violations);
+      EXPECT_EQ(a.near_misses, b.near_misses);
+      for (std::size_t t = 0; t < a.tracks.size(); ++t) {
+        expect_cells_identical(a.tracks[t], b.tracks[t]);
+      }
+    }
   }
 }
 

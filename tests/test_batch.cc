@@ -1,21 +1,173 @@
-// Tests for the batched multi-sweep scheduler: budget accounting,
-// outcome ordering, fail-fast error aggregation, and equivalence of the
-// batched and standalone sweep paths.
+// Tests for the task pool (root/follow-up order, failure reporting) and
+// the batched multi-sweep runner built on it: budget accounting, outcome
+// ordering, fail-fast error aggregation, and equivalence of the batched
+// and standalone sweep paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <latch>
 #include <mutex>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/assert.h"
 #include "sim/batch.h"
 #include "sim/experiment.h"
+#include "sim/task_pool.h"
 
 namespace psllc::sim {
 namespace {
+
+/// Start order of the tasks of a pool run, recorded from any worker.
+class StartLog {
+ public:
+  void add(const std::string& name) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    names_.push_back(name);
+  }
+  [[nodiscard]] std::vector<std::string> names() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return names_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<std::string> names_;
+};
+
+TEST(TaskPool, FollowUpsRunBeforeTheNextRoot) {
+  // Root 0 queues its follow-ups only once root 1 holds the other worker,
+  // and root 1 holds it until root 2 starts. So root 0's worker is the only
+  // free one, and it must take every queued follow-up, nested ones too,
+  // before it takes root 2.
+  StartLog log;
+  std::latch root1_started(1);
+  std::latch root2_started(1);
+  TaskPool pool(2);
+  pool.run(3, [&](std::size_t root) {
+    log.add("root" + std::to_string(root));
+    if (root == 0) {
+      root1_started.wait();
+      pool.enqueue([&] {
+        log.add("a");
+        pool.enqueue([&] { log.add("a.x"); });
+      });
+      pool.enqueue([&] { log.add("b"); });
+    } else if (root == 1) {
+      root1_started.count_down();
+      root2_started.wait();
+    } else {
+      root2_started.count_down();
+    }
+  });
+  std::vector<std::string> names = log.names();
+  ASSERT_EQ(names.size(), 6u);
+  std::sort(names.begin(), names.begin() + 2);  // roots 0 and 1 race
+  EXPECT_EQ(names, (std::vector<std::string>{"root0", "root1", "a", "b",
+                                             "a.x", "root2"}));
+}
+
+TEST(TaskPool, OneWorkerRunsEverythingOnTheCallingThreadInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::string> order;
+  bool all_on_caller = true;
+  TaskPool pool(1);
+  const auto record = [&](const std::string& name) {
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+    order.push_back(name);
+  };
+  pool.run(2, [&](std::size_t root) {
+    const std::string r = std::to_string(root);
+    record("root" + r);
+    pool.enqueue([&, r] {
+      record(r + ".a");
+      pool.enqueue([&, r] { record(r + ".a.x"); });
+    });
+    pool.enqueue([&, r] { record(r + ".b"); });
+  });
+  EXPECT_TRUE(all_on_caller);
+  EXPECT_EQ(order, (std::vector<std::string>{"root0", "0.a", "0.b", "0.a.x",
+                                             "root1", "1.a", "1.b",
+                                             "1.a.x"}));
+}
+
+TEST(TaskPool, OneFaultyTaskGivesTheSameExceptionAtEveryThreadCount) {
+  // Every root queues two follow-ups; exactly one task throws.
+  const auto failure_at = [](int workers, bool in_follow_up) {
+    TaskPool pool(workers);
+    try {
+      pool.run(8, [&](std::size_t root) {
+        if (!in_follow_up && root == 5) {
+          throw ConfigError("root 5 failed");
+        }
+        for (int f = 0; f < 2; ++f) {
+          pool.enqueue([root, f, in_follow_up] {
+            if (in_follow_up && root == 3 && f == 1) {
+              throw ConfigError("follow-up 3.1 failed");
+            }
+          });
+        }
+      });
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no failure");
+  };
+  for (const bool in_follow_up : {false, true}) {
+    const std::string expected =
+        in_follow_up ? "follow-up 3.1 failed" : "root 5 failed";
+    for (const int workers : {1, 2, 4}) {
+      EXPECT_EQ(failure_at(workers, in_follow_up), expected)
+          << workers << " workers";
+    }
+  }
+}
+
+TEST(TaskPool, NoTaskStartsOnceAFailureIsSeen) {
+  // One worker: the failing follow-up stops everything queued behind it.
+  {
+    StartLog log;
+    TaskPool pool(1);
+    EXPECT_THROW(pool.run(3,
+                          [&](std::size_t root) {
+                            log.add("root" + std::to_string(root));
+                            pool.enqueue([&] {
+                              log.add("boom");
+                              throw std::runtime_error("boom");
+                            });
+                            pool.enqueue([&] { log.add("late"); });
+                          }),
+                 std::runtime_error);
+    EXPECT_EQ(log.names(), (std::vector<std::string>{"root0", "boom"}));
+  }
+  // Four workers: roots 0-3 start together; root 0 throws while the others
+  // are still running. They finish, but none of the 60 other roots starts.
+  std::atomic<int> started{0};
+  std::latch all_started(4);
+  TaskPool pool(4);
+  try {
+    pool.run(64, [&](std::size_t root) {
+      started.fetch_add(1);
+      if (root >= 4) {
+        return;
+      }
+      all_started.arrive_and_wait();
+      if (root == 0) {
+        throw std::runtime_error("root 0 failed");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    });
+    ADD_FAILURE() << "run succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "root 0 failed");
+  }
+  EXPECT_EQ(started.load(), 4);
+}
 
 TEST(Batch, RunsEveryJobAndKeepsInputOrder) {
   std::vector<int> grants(3, 0);

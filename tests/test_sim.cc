@@ -447,14 +447,25 @@ TEST(Sweep, RejectsNegativeThreads) {
 }
 
 TEST(Sweep, ParallelPropagatesCellErrors) {
-  // An invalid notation makes a cell throw; the pool must surface it.
-  SweepOptions options;
-  options.address_ranges = {1024, 2048};
-  options.accesses_per_core = 100;
-  options.threads = 4;
+  // An invalid notation makes a cell throw; the pool must surface it, with
+  // the same message serially and in parallel.
   const std::vector<SweepConfig> configs = {{"SS(4,4,2)", 2},
                                             {"bogus-notation", 2}};
-  EXPECT_THROW((void)run_sweep(configs, options), ConfigError);
+  const auto error_at = [&](int threads) {
+    SweepOptions options;
+    options.address_ranges = {1024, 2048};
+    options.accesses_per_core = 100;
+    options.threads = threads;
+    try {
+      (void)run_sweep(configs, options);
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string serial = error_at(1);
+  EXPECT_NE(serial, "no error");
+  EXPECT_EQ(error_at(4), serial);
 }
 
 }  // namespace
